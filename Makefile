@@ -7,7 +7,7 @@ GO ?= go
 # like.
 BENCH_COMPARE_TOLERANCE ?= 0.5
 
-.PHONY: ci fmt vet lint lint-fix build test test-parallel bench bench-smoke bench-shards bench-compare prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke bench bench-smoke bench-shards bench-compare prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -16,9 +16,10 @@ LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
 # tests under the race detector (serial and parallel-allocator passes), the
-# bench/forensics smoke run, the self-profiler smoke run, and the perf
-# comparison against the last committed snapshot.
-ci: fmt vet build lint test test-parallel bench-smoke prof-smoke bench-shards bench-compare
+# time-boxed allocator fuzz run, the bench/forensics smoke run, the
+# self-profiler smoke run, and the perf comparison against the last
+# committed snapshot.
+ci: fmt vet build lint test test-parallel fuzz-smoke bench-smoke prof-smoke bench-shards bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -59,6 +60,14 @@ test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
 
+# Allocator fuzz smoke: FuzzAllocMutations drives random mutation sequences
+# (batched starts, completions, aborts, cable/switch failures and
+# recoveries, reroute passes) and checks every incremental recompute
+# against a forced full refill and the reference allocator, for a fixed
+# time box. A failing input lands in internal/netsim/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzAllocMutations -fuzztime=10s ./internal/netsim
+
 bench:
 	$(GO) test -run=^$$ -bench=Telemetry -benchmem .
 
@@ -91,7 +100,7 @@ prof-smoke:
 	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -prof $$tmp/artifacts >/dev/null; \
 	ls $$tmp/artifacts/prof.tsv $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
 	awk -F'\t' 'NR>1 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
-		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/heap_ops", req, " "); \
+		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/heap_ops netsim/components netsim/dirty_components", req, " "); \
 		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
 		$$tmp/artifacts/prof.tsv; \
 	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \

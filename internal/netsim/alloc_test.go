@@ -211,16 +211,16 @@ func TestFillComponentDefensiveSweep(t *testing.T) {
 	lk := top.AccessLink(0, 0, 0)
 
 	f := &Flow{ID: 1, Remaining: 1 << 20, Rate: 123, Path: []topo.LinkID{lk}}
+	s.active = []*Flow{f}
+	s.region = []*Flow{f}
 	s.curEpoch++
 	s.touch(lk)
 	s.nShare[lk] = 1
 	s.inc[lk] = append(s.inc[lk], 0)
-	s.unfrozen = []*Flow{f}
-	s.frozen = []bool{false}
 
-	c := allocComp{flows: []int32{0}, links: nil} // link list deliberately broken
+	c := allocComp{links: noLink, nFlows: 1} // link list deliberately broken
 	s.ensureHeaps(1)
-	minT := s.fillComponent(&c, &s.heaps[0], 0)
+	minT := s.fillComponent(&c, f.comp, &s.heaps[0], 0)
 
 	if f.Rate != 0 {
 		t.Fatalf("swept flow kept stale rate %v, want 0", f.Rate)
@@ -231,7 +231,7 @@ func TestFillComponentDefensiveSweep(t *testing.T) {
 	if got := s.nShare[lk]; got != 0 {
 		t.Fatalf("share count not retired: nShare=%d, want 0", got)
 	}
-	if !s.frozen[0] {
+	if !f.frozen {
 		t.Fatal("swept flow not marked frozen")
 	}
 }

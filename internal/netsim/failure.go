@@ -27,6 +27,7 @@ func (s *Sim) FailCable(l topo.LinkID) {
 	rev := s.Top.Link(l).Reverse
 	for _, f := range s.active {
 		if pathHasLink(f.Path, l) || pathHasLink(f.Path, rev) {
+			s.markFlow(f)
 			f.Stalled = true
 			f.Rate = 0
 		}
@@ -74,6 +75,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 		for _, lk := range f.Path {
 			link := s.Top.Link(lk)
 			if link.From == n || link.To == n {
+				s.markFlow(f)
 				f.Stalled = true
 				f.Rate = 0
 				break

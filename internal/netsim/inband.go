@@ -26,6 +26,9 @@ func (s *Sim) EnableInband(max int) *inband.Collector {
 	s.ibQueue = make([]float64, len(s.Top.Links))
 	s.ibQStep = make([]float64, len(s.Top.Links))
 	s.ibLiveSet = make([]bool, len(s.Top.Links))
+	// The live-link worklist is seeded from the links recompute rebuilds:
+	// rebuild everything once so links of clean components join it too.
+	s.markAllDirty()
 	s.registerInbandExporters()
 	return s.inband
 }
@@ -90,7 +93,10 @@ func (s *Sim) inbandOpen(f *Flow) {
 // inbandRefresh snapshots the allocator's per-link offered demand and
 // capacity for queue integration, and maintains the live-link worklist
 // (links carrying active flows, plus links still draining queue). Called
-// from recompute after the allocation settles.
+// from recompute after the allocation settles. Links newly carrying flows
+// can only be in the rebuilt dirty region (links of clean components were
+// in use, hence live, at the previous refresh), so scanning its touched
+// links appends them in the same order a scan over every in-use link would.
 func (s *Sim) inbandRefresh() {
 	for _, lk := range s.touched {
 		if !s.ibLiveSet[lk] {
@@ -100,7 +106,7 @@ func (s *Sim) inbandRefresh() {
 	}
 	kept := s.ibLive[:0]
 	for _, lk := range s.ibLive {
-		if s.epoch[lk] == s.curEpoch {
+		if s.linkComp[lk] >= 0 {
 			s.ibDemand[lk] = s.demand[lk]
 			s.ibCap[lk] = s.Top.Link(lk).CapBps
 			if !s.Top.LinkUsable(lk) {

@@ -53,6 +53,11 @@ type Flow struct {
 
 	// Stalled marks a flow blackholed by a failure, awaiting reconvergence.
 	Stalled bool
+	// frozen and comp are allocator state (alloc.go), placed here to use
+	// Stalled's padding: frozen is fill scratch owned by the filler of the
+	// flow's component, comp that component (noComp when not placed).
+	frozen bool
+	comp   int32
 
 	// OnComplete, if set, runs when the flow finishes. It may start new
 	// flows.
@@ -124,33 +129,46 @@ type Sim struct {
 	probeByLink []*LinkProbe
 	probeList   []*LinkProbe
 
-	// ParallelFill caps the goroutines used to fill independent contention
+	// ParallelFill caps the goroutines used to fill the dirty contention
 	// components during a rate recomputation: 0 (the default) defers to
 	// GOMAXPROCS, 1 forces serial filling. Component fills are
 	// schedule-independent, so the allocation — and every derived artifact
 	// — is byte-identical at any setting; see alloc.go.
 	ParallelFill int
-	// ParallelFillMinFlows is the runnable-flow count below which filling
-	// stays serial regardless of ParallelFill (0 = a built-in default).
+	// ParallelFillMinFlows is the dirty-region flow count below which
+	// filling stays serial regardless of ParallelFill (0 = a built-in
+	// default).
 	ParallelFillMinFlows int
 
-	// scratch arrays for the allocator, epoch-stamped to avoid O(links)
-	// clearing on every recompute; see alloc.go for the roles of the
-	// per-link incidence, union-find and component scratch.
-	capRem   []float64
-	nShare   []int32
-	demand   []float64
-	epoch    []uint32
-	curEpoch uint32
-	touched  []topo.LinkID
-	inc      [][]int32
-	ufParent []int32
-	compOf   []int32
-	unfrozen []*Flow
-	frozen   []bool
-	comps    []allocComp
-	heaps    []linkHeap
-	done     []*Flow // completionEvent harvest scratch
+	// Allocator state; see alloc.go. Persistent across recomputes: the
+	// components, each in-use link's component, next link in that
+	// component's list, incidence list (in active order), offered demand
+	// and usability at its last fill, the fabric state generation last
+	// seen, and the dirty-component queue the mutations fill. Scratch
+	// for rebuilding the dirty region, epoch-stamped to avoid O(links)
+	// clearing: remaining capacity, share counts, union-find parents and
+	// each root's new component.
+	comps      []allocComp
+	freeComps  []int32
+	liveComps  int
+	dirtyComps []int32
+	linkComp   []int32
+	linkNext   []topo.LinkID
+	inc        [][]int32
+	demand     []float64
+	linkUp     []bool
+	topoGen    uint64
+	capRem     []float64
+	nShare     []int32
+	epoch      []uint32
+	curEpoch   uint32
+	touched    []topo.LinkID
+	ufParent   []int32
+	rootComp   []int32
+	region     []*Flow
+	rebuilt    []int32
+	heaps      []linkHeap
+	done       []*Flow // completionEvent harvest scratch
 
 	rerouteScheduled bool
 
@@ -198,6 +216,10 @@ type Sim struct {
 	phFill      *prof.Phase
 	phMergeWait *prof.Phase
 	phHeapOps   *prof.Phase
+	// Count-only allocator shape: components alive vs rebuilt and refilled
+	// per recompute.
+	phComponents *prof.Phase
+	phDirtyComps *prof.Phase
 
 	// Stats
 	CompletedFlows int64
@@ -226,7 +248,14 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		epoch:           make([]uint32, len(top.Links)),
 		inc:             make([][]int32, len(top.Links)),
 		ufParent:        make([]int32, len(top.Links)),
-		compOf:          make([]int32, len(top.Links)),
+		rootComp:        make([]int32, len(top.Links)),
+		linkComp:        make([]int32, len(top.Links)),
+		linkNext:        make([]topo.LinkID, len(top.Links)),
+		linkUp:          make([]bool, len(top.Links)),
+		topoGen:         top.StateGen(),
+	}
+	for i := range s.linkComp {
+		s.linkComp[i] = noComp
 	}
 	return s
 }
@@ -313,7 +342,7 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 		ID: s.nextID, Src: src, Dst: dst, Tuple: tuple,
 		Bits: bytes * 8, Remaining: bytes * 8,
 		PinnedPort: -1, OnComplete: opt.OnComplete, After: opt.After,
-		StartedAt: s.Eng.Now(), index: -1,
+		StartedAt: s.Eng.Now(), index: -1, comp: noComp,
 	}
 	s.nextID++
 	if opt.SrcPort >= 0 {
@@ -354,8 +383,11 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 // On blackhole or no-port it marks the flow stalled with the best-known
 // path (possibly nil). Under in-band telemetry the previous path
 // generation is flushed first and the new walk records its hash decisions.
+// The allocator component of the old path is dirtied here, the ones the
+// new path crosses in routed.
 func (s *Sim) routeFlow(f *Flow) error {
 	now := s.Eng.Now()
+	s.markFlow(f)
 	s.inbandFlush(f)
 	tryPort := func(port int) bool {
 		var path []topo.LinkID
@@ -389,8 +421,7 @@ func (s *Sim) routeFlow(f *Flow) error {
 	// transparent to the application, §4).
 	if p := f.PinnedPort; p >= 0 &&
 		s.Top.LinkUsable(s.Top.AccessLink(f.Src.Host, f.Src.NIC, p)) && tryPort(p) {
-		s.inbandOpen(f)
-		s.observeRouted(f)
+		s.routed(f)
 		return nil
 	}
 	p, err := s.R.PickAccessPort(f.Src, f.Dst, f.Tuple, now)
@@ -402,14 +433,25 @@ func (s *Sim) routeFlow(f *Flow) error {
 			f.ib.hops = f.ib.hops[:0]
 		}
 		s.obsHops = s.obsHops[:0]
-		s.inbandOpen(f)
-		s.observeRouted(f)
+		s.routed(f)
 		return nil // flow exists but cannot move; not a caller error
 	}
 	tryPort(p)
+	s.routed(f)
+	return nil
+}
+
+// routed finishes a (re)route: it opens the in-band path generation,
+// emits the routing observation and dirties every allocator component the
+// new path crosses. The flow itself, unplaced, joins the next recompute's
+// dirty region.
+func (s *Sim) routed(f *Flow) {
 	s.inbandOpen(f)
 	s.observeRouted(f)
-	return nil
+	f.comp = noComp
+	for _, l := range f.Path {
+		s.markLink(l)
+	}
 }
 
 // Batch runs fn as a single mutation: every StartFlow/AbortFlow (and any
@@ -539,13 +581,19 @@ func (s *Sim) completionEvent() {
 	s.endMutate()
 }
 
+// removeActive swap-removes a flow from the active list. Both its own
+// component and the moved flow's are dirtied: the move changes the active
+// order in which the moved flow's links sum their demand and utilization.
 func (s *Sim) removeActive(f *Flow) {
 	i := f.index
 	last := len(s.active) - 1
+	s.markFlow(f)
+	s.markFlow(s.active[last])
 	s.active[i] = s.active[last]
 	s.active[i].index = i
 	s.active = s.active[:last]
 	f.index = -1
+	f.comp = noComp
 }
 
 // AbortFlow removes an in-flight flow without completing it (no callback

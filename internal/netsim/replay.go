@@ -165,6 +165,9 @@ func (s *Sim) RestoreInbandResidual(r *InbandResidual) {
 	if s.inband == nil {
 		return
 	}
+	// The restored worklist may lack links of live components; rebuild
+	// them all at the next recompute so they rejoin it in gather order.
+	s.markAllDirty()
 	for _, lk := range s.ibLive {
 		s.ibLiveSet[lk] = false
 		s.ibQueue[lk] = 0

@@ -18,6 +18,7 @@ package topo
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // NodeID indexes a node within a Topology.
@@ -144,6 +145,12 @@ type Topology struct {
 	// usable caches LinkUsable per link (link up AND both endpoint nodes
 	// up), maintained by connect and the Set*State mutators.
 	usable []bool
+	// stateGen counts Set*State calls. Several simulators may share one
+	// topology (a sharded ensemble runs one per domain) and each caches
+	// state derived from link usability, so each compares this counter
+	// with the value it last saw to notice changes made by the others.
+	// Atomic because domains mutate their own links concurrently.
+	stateGen atomic.Uint64
 }
 
 // HostPort names one NIC port of one host.
@@ -263,6 +270,7 @@ func (t *Topology) TotalGPUs(activeOnly bool) int {
 func (t *Topology) SetLinkState(id LinkID, up bool) {
 	t.Links[id].Up = up
 	t.refreshUsable(id)
+	t.stateGen.Add(1)
 }
 
 // SetCableState sets both directions of a cable.
@@ -271,6 +279,7 @@ func (t *Topology) SetCableState(id LinkID, up bool) {
 	t.Links[t.Links[id].Reverse].Up = up
 	t.refreshUsable(id)
 	t.refreshUsable(t.Links[id].Reverse)
+	t.stateGen.Add(1)
 }
 
 // SetNodeState marks a node (and implicitly all its links) up or down.
@@ -283,7 +292,12 @@ func (t *Topology) SetNodeState(id NodeID, up bool) {
 	for _, l := range t.Links {
 		t.refreshUsable(l.ID)
 	}
+	t.stateGen.Add(1)
 }
+
+// StateGen returns a counter that grows with every link or node state
+// change. Equal values mean no Set*State call happened in between.
+func (t *Topology) StateGen() uint64 { return t.stateGen.Load() }
 
 // LinkUsable reports whether a link can carry traffic: link up, both ends
 // up. It is the allocator's and router's innermost predicate, so the
