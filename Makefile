@@ -7,7 +7,7 @@ GO ?= go
 # like.
 BENCH_COMPARE_TOLERANCE ?= 0.5
 
-.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke bench bench-smoke bench-shards bench-compare prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test fuzz-smoke bench bench-smoke bench-compare prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -15,11 +15,10 @@ BENCH_COMPARE_TOLERANCE ?= 0.5
 LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
-# tests under the race detector (serial and parallel-allocator passes), the
-# time-boxed allocator fuzz run, the bench/forensics smoke run, the
-# self-profiler smoke run, and the perf comparison against the last
-# committed snapshot.
-ci: fmt vet build lint test test-parallel fuzz-smoke bench-smoke prof-smoke bench-shards bench-compare
+# tests under the race detector, the time-boxed allocator and artifact
+# parser fuzz runs, the bench/forensics smoke run, the self-profiler smoke
+# run, and the perf comparison against the last committed snapshot.
+ci: fmt vet build lint test fuzz-smoke bench-smoke prof-smoke bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -52,21 +51,19 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Parallel-allocator gate: the netsim suite (differential + property tests)
-# under the race detector with real parallelism available, plus the golden
-# determinism tests — which include the serial-vs-parallel-fill byte
-# comparison — so a scheduling-dependent allocation can never land green.
-test-parallel:
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
-
 # Allocator fuzz smoke: FuzzAllocMutations drives random mutation sequences
 # (batched starts, completions, aborts, cable/switch failures and
 # recoveries, reroute passes) and checks every incremental recompute
 # against a forced full refill and the reference allocator, for a fixed
-# time box. A failing input lands in internal/netsim/testdata/fuzz.
+# time box. A failing input lands in internal/netsim/testdata/fuzz. The
+# artifact parsers (in-band TSV, health timeline TSV, prof.json) are then
+# fuzzed for a few seconds each: no panic, and whatever a parser accepts
+# must read back unchanged after a rewrite.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAllocMutations -fuzztime=10s ./internal/netsim
+	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=3s ./internal/inband
+	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=3s ./internal/health
+	$(GO) test -run=^$$ -fuzz=FuzzParseProfile -fuzztime=3s ./internal/prof
 
 bench:
 	$(GO) test -run=^$$ -bench=Telemetry -benchmem .
@@ -107,28 +104,6 @@ prof-smoke:
 	$(GO) run ./cmd/hpnprof -compare $$tmp/artifacts/prof.json $$tmp/artifacts/prof.json >/dev/null; \
 	rm -rf $$tmp; \
 	echo "prof-smoke: OK"
-
-# Sharded-engine perf gate: fig13 (single-pod — the sharded machinery must
-# cost it nothing) and multipod (the sharded scenario itself), each run
-# serially (-shards 1) and with parallel shard windows (-shards 0 =
-# NumCPU), the pairs compared with hpnbench's own comparator (flags
-# precede the positional snapshot paths). The multipod experiment
-# hard-gates bit-identical simulated results internally; this target
-# gates that fanning windows out never costs flows/sec. Speedup is a
-# host property (needs >= 4 cores) and is claimed by the experiment, not
-# asserted here.
-bench-shards:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	for exp in fig13 multipod; do \
-		$(GO) run ./cmd/hpnbench -exp $$exp -scale quick -shards 1 -benchout $$tmp/$$exp-serial >/dev/null; \
-		$(GO) run ./cmd/hpnbench -exp $$exp -scale quick -shards 0 -benchout $$tmp/$$exp-par >/dev/null; \
-		echo "bench-shards: $$exp serial vs parallel"; \
-		$(GO) run ./cmd/hpnbench -compare -tolerance $(BENCH_COMPARE_TOLERANCE) \
-			$$tmp/$$exp-serial/BENCH_*.json $$tmp/$$exp-par/BENCH_*.json; \
-	done; \
-	rm -rf $$tmp; \
-	echo "bench-shards: OK"
 
 # Perf regression gate: take a fresh quick fig13 snapshot and compare it
 # against the newest committed bench/BENCH_*.json with hpnbench's own

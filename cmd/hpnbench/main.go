@@ -39,8 +39,7 @@ func main() {
 		benchOut = flag.String("benchout", "", "write a BENCH_<stamp>.json perf snapshot (scenario, ns/op, allocs, flows/sec) into this directory")
 		compare  = flag.Bool("compare", false, "compare two BENCH snapshots: hpnbench -compare old.json new.json")
 		tol      = flag.Float64("tolerance", 0.10, "with -compare: flows/sec may drop by this fraction before a scenario counts as regressed")
-		useMemo  = flag.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -shards)")
-		shards   = flag.Int("shards", 1, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
+		useMemo  = flag.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with sharded experiments)")
 		profTo   = flag.String("prof", "", "enable engine self-profiling on every cluster; write prof.tsv/json (render with hpnprof) and flight.tsv into this directory after the sweep")
 		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole sweep to this file")
 		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -69,15 +68,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hpnbench: -memo must be on or off, got %q\n", *useMemo)
 		os.Exit(2)
 	}
-
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "hpnbench: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(2)
-	}
-	// -memo and -shards compose: sharded trainers close memoization windows
-	// at the cross-pod gate (pod-local record/replay), so both can be on at
-	// once — the sharded determinism gates cover exactly this combination.
-	hpn.SetShardWorkers(*shards)
 
 	if *compare {
 		if flag.NArg() != 2 {

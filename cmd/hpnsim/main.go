@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -30,14 +31,18 @@ func main() {
 		promOut  = flag.String("metrics", "", "write Prometheus-text metrics to this file")
 		inbandTo = flag.String("inband", "", "enable in-band path telemetry and write run artifacts (per-hop inband.tsv/json, flow log, samples) into this directory")
 		healthTo = flag.String("health", "", "enable online fabric health monitoring and write run artifacts (incidents.tsv/json causal timeline; render with hpndoctor) into this directory")
-		useMemo  = flag.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods/-shards)")
+		useMemo  = flag.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods)")
 		pods     = flag.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
-		shards   = flag.Int("shards", 1, "worker goroutines executing parallel shard windows (0 = NumCPU); needs -pods > 1; results are identical for every value")
 		profTo   = flag.String("prof", "", "enable engine self-profiling and write run artifacts (prof.tsv/json phase breakdown — render with hpnprof — and the flight.tsv incident event ring) into this directory")
 		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
+
+	if err := checkShape(*hosts, *tp, *pp, *iters, *pods); err != nil {
+		fmt.Fprintln(os.Stderr, "hpnsim:", err)
+		os.Exit(2)
+	}
 
 	if *cpuOut != "" {
 		f, err := os.Create(*cpuOut)
@@ -90,24 +95,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	gpus := *hosts * 8
-	if gpus%(*tp**pp) != 0 {
-		fmt.Fprintf(os.Stderr, "hpnsim: %d GPUs not divisible by tp*pp=%d\n", gpus, *tp**pp)
-		os.Exit(2)
-	}
-	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: gpus / (*tp * *pp)}
+	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: *hosts * 8 / (*tp * *pp)}
+	out := outputs{trace: *traceOut, metrics: *promOut, mem: *memOut,
+		dirs: artifactDirs(*inbandTo, *healthTo, *profTo)}
 
-	if *shards != 1 && *pods <= 1 {
-		fmt.Fprintln(os.Stderr, "hpnsim: -shards needs -pods > 1 (a single-pod fabric has nothing to shard)")
-		os.Exit(2)
-	}
 	if *pods > 1 {
 		if *arch != "hpn" {
 			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
 			os.Exit(2)
 		}
-		runSharded(hub, m, par, *pods, *shards, *hosts, *iters,
-			artifactDirs(*inbandTo, *healthTo, *profTo), *traceOut, *promOut, *memOut, *inbandTo != "")
+		runSharded(hub, m, par, *pods, *hosts, *iters, out, *inbandTo != "")
 		return
 	}
 
@@ -178,49 +175,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hpnsim:", w)
 	}
 
-	if hub != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(f *os.File) error {
-				_, err := hub.Tracer.WriteTo(f)
-				return err
-			}); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s (%d events)\n", *traceOut, hub.Tracer.Events())
-		}
-		if *promOut != "" {
-			if err := writeFile(*promOut, func(f *os.File) error {
-				return hub.Registry.WritePrometheus(f)
-			}); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *promOut)
-		}
-		for _, dir := range artifactDirs(*inbandTo, *healthTo, *profTo) {
-			paths, err := hub.WriteArtifacts(dir)
-			if err != nil {
-				fail(err)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		}
-	}
-	if *memOut != "" {
-		if err := writeFile(*memOut, func(f *os.File) error {
-			return pprof.Lookup("allocs").WriteTo(f, 0)
-		}); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *memOut)
-	}
+	writeOutputs(hub, out, hub.WriteArtifacts)
 }
 
 // runSharded is the -pods > 1 path: one engine shard per pod under the
 // conservative-window coordinator, one training job per pod, and the
 // cross-pod gradient exchange on the global domain.
 func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
-	pods, workers, hosts, iters int, dirs []string, traceOut, promOut, memOut string, flowLog bool) {
+	pods, hosts, iters int, out outputs, flowLog bool) {
 	segHosts := hosts
 	if segHosts > 128 {
 		segHosts = 128
@@ -230,7 +192,6 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	if err != nil {
 		fail(err)
 	}
-	sc.SetWorkers(workers)
 	if flowLog {
 		sc.Global.Net.EnableFlowLog(0)
 		for _, pc := range sc.Pods {
@@ -241,8 +202,8 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d), %d shard workers\n",
-		m.Name, sc.Arch, pods, par.GPUs(), par.TP, par.PP, par.DP, sc.Coord.Workers())
+	fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d)\n",
+		m.Name, sc.Arch, pods, par.GPUs(), par.TP, par.PP, par.DP)
 	if err := st.Start(iters); err != nil {
 		fail(err)
 	}
@@ -274,28 +235,57 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 		fmt.Fprintln(os.Stderr, "hpnsim:", w)
 	}
 
+	// The flat trace file carries the global domain's process; the per-pod
+	// traces land as c2_trace.json, ... in the artifact dirs.
+	writeOutputs(hub, out, sc.WriteArtifacts)
+}
+
+// checkShape rejects job-shape flags that would divide by zero or
+// simulate nothing, before any arithmetic uses them.
+func checkShape(hosts, tp, pp, iters, pods int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"hosts", hosts}, {"tp", tp}, {"pp", pp}, {"iters", iters}, {"pods", pods}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	if gpus := hosts * 8; gpus%(tp*pp) != 0 {
+		return fmt.Errorf("%d GPUs not divisible by tp*pp=%d", gpus, tp*pp)
+	}
+	return nil
+}
+
+// outputs names the files and directories a run writes after it ends.
+type outputs struct {
+	trace, metrics, mem string
+	dirs                []string
+}
+
+// writeOutputs writes the requested outputs: the root hub's trace and
+// Prometheus metrics, every artifact directory through writeDir (which
+// differs between one cluster and a sharded ensemble), then the heap
+// profile.
+func writeOutputs(hub *hpn.TelemetryHub, out outputs, writeDir func(dir string) ([]string, error)) {
 	if hub != nil {
-		if traceOut != "" {
-			// The flat trace file carries the global domain's process; the
-			// per-pod traces land as c2_trace.json, ... in the artifact dirs.
-			if err := writeFile(traceOut, func(f *os.File) error {
+		if out.trace != "" {
+			if err := writeFile(out.trace, func(f io.Writer) error {
 				_, err := hub.Tracer.WriteTo(f)
 				return err
 			}); err != nil {
 				fail(err)
 			}
-			fmt.Printf("wrote %s (%d events)\n", traceOut, hub.Tracer.Events())
+			fmt.Printf("wrote %s (%d events)\n", out.trace, hub.Tracer.Events())
 		}
-		if promOut != "" {
-			if err := writeFile(promOut, func(f *os.File) error {
-				return hub.Registry.WritePrometheus(f)
-			}); err != nil {
+		if out.metrics != "" {
+			if err := writeFile(out.metrics, hub.Registry.WritePrometheus); err != nil {
 				fail(err)
 			}
-			fmt.Printf("wrote %s\n", promOut)
+			fmt.Printf("wrote %s\n", out.metrics)
 		}
-		for _, dir := range dirs {
-			paths, err := sc.WriteArtifacts(dir)
+		for _, dir := range out.dirs {
+			paths, err := writeDir(dir)
 			if err != nil {
 				fail(err)
 			}
@@ -304,13 +294,13 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 			}
 		}
 	}
-	if memOut != "" {
-		if err := writeFile(memOut, func(f *os.File) error {
+	if out.mem != "" {
+		if err := writeFile(out.mem, func(f io.Writer) error {
 			return pprof.Lookup("allocs").WriteTo(f, 0)
 		}); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %s\n", memOut)
+		fmt.Printf("wrote %s\n", out.mem)
 	}
 }
 
@@ -336,7 +326,7 @@ func artifactDirs(dirs ...string) []string {
 	return out
 }
 
-func writeFile(path string, write func(*os.File) error) error {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

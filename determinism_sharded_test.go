@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"hpn/internal/sim"
@@ -36,9 +35,8 @@ func shardedGoldenNames(pods int, withFlight bool) []string {
 // a 2-pod HPN fabric, per-pod engines under the windowed coordinator, full
 // telemetry (flow logs, traces, in-band, health, profiler) on every domain,
 // a cable failure injected into pod 0 — and returns every domain's artifact
-// bytes. The memo-replay and failure paths are exercised on purpose; the
-// worker count is the variable under test.
-func shardedArtifacts(t *testing.T, workers, iters int, memoOn, flap bool) (map[string][]byte, MemoStats) {
+// bytes. The memo-replay and failure paths are exercised on purpose.
+func shardedArtifacts(t *testing.T, iters int, memoOn, flap bool) (map[string][]byte, MemoStats) {
 	t.Helper()
 	opt := DefaultTelemetryOptions()
 	opt.Inband = true
@@ -53,7 +51,6 @@ func shardedArtifacts(t *testing.T, workers, iters int, memoOn, flap bool) (map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetWorkers(workers)
 	sc.Global.Net.EnableFlowLog(0)
 	for _, pc := range sc.Pods {
 		pc.Net.EnableFlowLog(0)
@@ -131,7 +128,7 @@ func shardedArtifacts(t *testing.T, workers, iters int, memoOn, flap bool) (map[
 		captureDomain(fmt.Sprintf("pod%d", p), pc, sc.PodHubs()[p])
 	}
 	// The folded registry: per-shard counters absorbed into the base in pod
-	// order, so the ensemble totals must be worker-independent too. The
+	// order, so the ensemble totals must be reproducible too. The
 	// profiler's prof_* gauges are host wall/alloc measurements — published
 	// as gauges precisely because they are not deterministic — so they are
 	// stripped before comparison.
@@ -154,56 +151,54 @@ func stripProfGauges(b []byte) []byte {
 }
 
 // TestGoldenDeterminismSharded is the sharded determinism gate: the same
-// instrumented multi-pod run executed serially (workers=1) and with the
-// shard windows fanned out over several goroutines must produce
-// byte-identical artifacts on every domain — flow logs, traces, in-band
-// telemetry, incidents, flight rings and the folded metrics registry. A
-// cable flap in pod 0 keeps failure handling inside the compared bytes.
+// instrumented multi-pod run executed twice must produce byte-identical
+// artifacts on every domain — flow logs, traces, in-band telemetry,
+// incidents, flight rings and the folded metrics registry. A cable flap in
+// pod 0 keeps failure handling inside the compared bytes.
 func TestGoldenDeterminismSharded(t *testing.T) {
 	const iters = 4
-	serial, _ := shardedArtifacts(t, 1, iters, false, true)
-	par, _ := shardedArtifacts(t, runtime.NumCPU(), iters, false, true)
+	run1, _ := shardedArtifacts(t, iters, false, true)
+	run2, _ := shardedArtifacts(t, iters, false, true)
 
 	for _, key := range []string{"g/flowlog.tsv", "pod0/flowlog.tsv", "pod1/flowlog.tsv"} {
-		if flow := serial[key]; len(flow) == 0 || bytes.Count(flow, []byte("\n")) < 2 {
+		if flow := run1[key]; len(flow) == 0 || bytes.Count(flow, []byte("\n")) < 2 {
 			t.Fatalf("%s is empty; the domain recorded no flows", key)
 		}
 	}
-	if bytes.Count(serial["pod0/incidents.tsv"], []byte("\n")) < 2 {
+	if bytes.Count(run1["pod0/incidents.tsv"], []byte("\n")) < 2 {
 		t.Fatal("pod0 incidents TSV has no rows; the injected flap was not detected")
 	}
 
 	for _, name := range shardedGoldenNames(2, true) {
-		if line, a, b := firstDivergence(serial[name], par[name]); line != 0 {
-			t.Errorf("%s diverges between workers=1 and workers=%d at line %d:\n  serial:   %s\n  parallel: %s",
-				name, runtime.NumCPU(), line, a, b)
+		if line, a, b := firstDivergence(run1[name], run2[name]); line != 0 {
+			t.Errorf("%s diverges between identical runs at line %d:\n  run1: %s\n  run2: %s",
+				name, line, a, b)
 		}
 	}
 }
 
 // TestGoldenDeterminismShardedMemo crosses the sharded gate with iteration
 // memoization: pod-local windows recorded and replayed under the gate-mode
-// edge (IterGate) must leave every artifact byte-identical between worker
-// counts, and the memo-on run must match the memo-off run on the artifact
+// edge (IterGate) must leave every artifact byte-identical between two
+// runs, and the memo-on run must match the memo-off run on the artifact
 // set replay covers (flight stays out: replay re-feeds observers, not the
 // netsim emission sites that note into the flight ring).
 func TestGoldenDeterminismShardedMemo(t *testing.T) {
 	const iters = 8
-	off, _ := shardedArtifacts(t, 1, iters, false, false)
-	on1, stats1 := shardedArtifacts(t, 1, iters, true, false)
-	onN, statsN := shardedArtifacts(t, runtime.NumCPU(), iters, true, false)
+	off, _ := shardedArtifacts(t, iters, false, false)
+	on1, stats1 := shardedArtifacts(t, iters, true, false)
+	on2, stats2 := shardedArtifacts(t, iters, true, false)
 
 	if stats1.Replayed < 2 {
 		t.Errorf("replayed %d pod iterations, want >= 2 (hits=%d misses=%d blocked=%d)",
 			stats1.Replayed, stats1.Hits, stats1.Misses, stats1.Blocked)
 	}
-	if statsN.Replayed != stats1.Replayed {
-		t.Errorf("replay count depends on workers: %d at workers=1, %d at workers=N",
-			stats1.Replayed, statsN.Replayed)
+	if stats2.Replayed != stats1.Replayed {
+		t.Errorf("replay count differs between runs: %d then %d", stats1.Replayed, stats2.Replayed)
 	}
 	for _, name := range shardedGoldenNames(2, true) {
-		if line, a, b := firstDivergence(on1[name], onN[name]); line != 0 {
-			t.Errorf("%s diverges between memo-on workers=1 and workers=N at line %d:\n  w1: %s\n  wN: %s",
+		if line, a, b := firstDivergence(on1[name], on2[name]); line != 0 {
+			t.Errorf("%s diverges between two memo-on runs at line %d:\n  run1: %s\n  run2: %s",
 				name, line, a, b)
 		}
 	}
@@ -211,38 +206,12 @@ func TestGoldenDeterminismShardedMemo(t *testing.T) {
 		if name == "metrics.json" {
 			// The memo-on registry adds memo_* counters the off run never
 			// registers; the byte comparison only holds between same-config
-			// runs (covered by the workers loop above).
+			// runs (covered by the loop above).
 			continue
 		}
 		if line, a, b := firstDivergence(off[name], on1[name]); line != 0 {
 			t.Errorf("%s diverges between memo-off and memo-on at line %d:\n  off: %s\n  on:  %s",
 				name, line, a, b)
-		}
-	}
-}
-
-// TestShardedSchedulingPermutations is the scheduling property test: under
-// every GOMAXPROCS in {1, 2, 8} and worker count in {1, 2, 8}, the sharded
-// run's artifacts must equal the serial reference byte for byte. Run with
-// -race in CI (make test-parallel), this also proves the windows share no
-// unsynchronized state.
-func TestShardedSchedulingPermutations(t *testing.T) {
-	const iters = 3
-	ref, _ := shardedArtifacts(t, 1, iters, false, false)
-	names := shardedGoldenNames(2, true)
-	for _, procs := range []int{1, 2, 8} {
-		for _, workers := range []int{2, 8} {
-			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
-				old := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(old)
-				got, _ := shardedArtifacts(t, workers, iters, false, false)
-				for _, name := range names {
-					if line, a, b := firstDivergence(ref[name], got[name]); line != 0 {
-						t.Errorf("%s diverges from the serial reference at line %d:\n  ref: %s\n  got: %s",
-							name, line, a, b)
-					}
-				}
-			})
 		}
 	}
 }

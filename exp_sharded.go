@@ -2,55 +2,27 @@ package hpn
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
 func init() {
-	register("multipod", "Sharded event loop: multi-pod training on parallel per-pod engines", runMultiPod)
+	register("multipod", "Sharded event loop: multi-pod training on per-pod engines", runMultiPod)
 }
 
-// shardWorkers is the worker count sharded experiments fan windows out
-// over; runners set it from their -shards flag. 1 (the default) runs shard
-// windows serially — the determinism baseline.
-var shardWorkers = 1
-
-// SetShardWorkers sets how many goroutines sharded experiments use for
-// parallel shard windows; n <= 0 selects NumCPU. Artifacts and results are
-// identical for every value — only host wall-clock changes.
-func SetShardWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
+// runMultiPod drives a multi-pod HPN fabric — one training job per pod
+// plus the cross-pod gradient exchange on the global domain — through the
+// windowed coordinator, and reports the window structure and the host
+// process's simulated-flow throughput.
+func runMultiPod(s Scale) (*Report, error) {
+	r := &Report{ID: "multipod", Title: "Sharded event loop: conservative-window multi-pod simulation"}
+	pods, hostsPerPod, iters := 4, 8, 12
+	if s == ScaleFull {
+		pods, hostsPerPod, iters = 8, 16, 40
 	}
-	shardWorkers = n
-}
-
-// ShardWorkers returns the configured sharded-experiment worker count.
-func ShardWorkers() int { return shardWorkers }
-
-// multiPodRun summarizes one sharded multi-pod training run.
-type multiPodRun struct {
-	wallSec     float64
-	flows       int64
-	flowsPerSec float64
-	samplesSec  float64
-	simSeconds  float64
-	iterations  int
-	rounds      int
-	windows     int
-	exchanged   int
-}
-
-// runMultiPodTraining drives a `pods`-pod HPN fabric — one training job per
-// pod plus the cross-pod gradient exchange on the global domain — through
-// the windowed coordinator with the given worker count, and measures
-// simulated-flow throughput of the host process.
-func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, error) {
 	sc, err := NewShardedHPN(MultiPodHPN(pods, 1, hostsPerPod, 4), nil)
 	if err != nil {
 		return nil, err
 	}
-	sc.SetWorkers(workers)
 	st, err := NewShardedTrainer(sc, LLaMa13B, Parallelism{TP: 8, PP: 1, DP: hostsPerPod})
 	if err != nil {
 		return nil, err
@@ -58,84 +30,38 @@ func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, e
 	if err := st.Start(iters); err != nil {
 		return nil, err
 	}
-	// Wall-clock is the measured artifact: the claim is host-process
-	// speedup at identical simulated results.
-	start := time.Now() //hpnlint:allow wallclock -- measured speedup is the experiment's subject
+	// Wall-clock feeds only the host flows/sec row of the report.
+	start := time.Now() //hpnlint:allow wallclock -- host throughput row, never simulator state
 	sc.Run()
-	wall := time.Since(start) //hpnlint:allow wallclock -- measured speedup is the experiment's subject
+	wall := time.Since(start).Seconds() //hpnlint:allow wallclock -- host throughput row, never simulator state
 	if st.Iterations() != iters {
 		return nil, fmt.Errorf("hpn: multipod training stalled at %d/%d", st.Iterations(), iters)
 	}
 	if st.FirstErr != nil {
 		return nil, st.FirstErr
 	}
-	run := &multiPodRun{
-		wallSec:    wall.Seconds(),
-		samplesSec: st.Trainers[0].MeanSamplesPerSecond(),
-		simSeconds: sc.Global.Eng.Now().Seconds(),
-		iterations: st.Iterations(),
-		rounds:     st.Rounds,
-		windows:    sc.Coord.Windows,
-		exchanged:  sc.Coord.Exchanged,
-	}
-	run.flows = sc.Global.Net.CompletedFlows
+	flows := sc.Global.Net.CompletedFlows
 	for _, pc := range sc.Pods {
-		run.flows += pc.Net.CompletedFlows
+		flows += pc.Net.CompletedFlows
 	}
-	if run.wallSec > 0 {
-		run.flowsPerSec = float64(run.flows) / run.wallSec
-	}
-	return run, nil
-}
-
-func runMultiPod(s Scale) (*Report, error) {
-	r := &Report{ID: "multipod", Title: "Sharded event loop: conservative-window parallel multi-pod simulation"}
-	pods, hostsPerPod, iters := 4, 8, 12
-	if s == ScaleFull {
-		pods, hostsPerPod, iters = 8, 16, 40
-	}
-	workers := shardWorkers
-	if workers <= 1 {
-		workers = runtime.NumCPU()
-	}
-	serial, err := runMultiPodTraining(pods, hostsPerPod, iters, 1)
-	if err != nil {
-		return nil, err
-	}
-	par, err := runMultiPodTraining(pods, hostsPerPod, iters, workers)
-	if err != nil {
-		return nil, err
-	}
-	speedup := 0.0
-	if par.wallSec > 0 {
-		speedup = serial.wallSec / par.wallSec
+	flowsPerSec := 0.0
+	if wall > 0 {
+		flowsPerSec = float64(flows) / wall
 	}
 	r.AddTable(Table{
-		Title:  fmt.Sprintf("LLaMa-13B, %d pods x %d hosts, %d iterations, %d workers", pods, hostsPerPod, iters, workers),
-		Header: []string{"metric", "workers=1", fmt.Sprintf("workers=%d", workers)},
+		Title:  fmt.Sprintf("LLaMa-13B, %d pods x %d hosts, %d iterations", pods, hostsPerPod, iters),
+		Header: []string{"metric", "value"},
 		Rows: [][]string{
-			{"wall time (s)", fmtF(serial.wallSec), fmtF(par.wallSec)},
-			{"simulated flows", fmtF(float64(serial.flows)), fmtF(float64(par.flows))},
-			{"simulated flows/sec (host)", fmtF(serial.flowsPerSec), fmtF(par.flowsPerSec)},
-			{"samples/s (simulated)", fmtF(serial.samplesSec), fmtF(par.samplesSec)},
-			{"conservative windows", fmtF(float64(serial.windows)), fmtF(float64(par.windows))},
-			{"cross-domain posts", fmtF(float64(serial.exchanged)), fmtF(float64(par.exchanged))},
+			{"wall time (s)", fmtF(wall)},
+			{"simulated flows", fmtF(float64(flows))},
+			{"simulated flows/sec (host)", fmtF(flowsPerSec)},
+			{"samples/s (simulated)", fmtF(st.Trainers[0].MeanSamplesPerSecond())},
+			{"simulated time (s)", fmtF(sc.Global.Eng.Now().Seconds())},
+			{"conservative windows", fmtF(float64(sc.Coord.Windows))},
+			{"cross-domain posts", fmtF(float64(sc.Coord.Exchanged))},
 		},
 	})
-	r.AddClaim("identical simulated results", "bit-equal flows, clocks and window structure",
-		fmt.Sprintf("%d vs %d flows, %.6g vs %.6g sim-s, %d vs %d windows",
-			serial.flows, par.flows, serial.simSeconds, par.simSeconds, serial.windows, par.windows),
-		serial.flows == par.flows && serial.simSeconds == par.simSeconds && //hpnlint:allow floateq -- parallel windows must be bit-exact
-			serial.windows == par.windows && serial.exchanged == par.exchanged &&
-			serial.samplesSec == par.samplesSec) //hpnlint:allow floateq -- parallel windows must be bit-exact
 	r.AddClaim("every iteration crossed the global barrier",
-		fmt.Sprintf("%d cross-pod rounds", iters), fmt.Sprintf("%d", par.rounds), par.rounds == iters)
-	if runtime.NumCPU() >= 4 && workers >= 4 {
-		r.AddClaim("parallel shard windows speed up the host process", ">=1.5x wall",
-			fmt.Sprintf("%.2fx (%d-core host)", speedup, runtime.NumCPU()), speedup >= 1.5)
-	} else {
-		r.AddNote("speedup claim skipped: %d workers on a %d-core host (need >=4 of each); measured %.2fx",
-			workers, runtime.NumCPU(), speedup)
-	}
+		fmt.Sprintf("%d cross-pod rounds", iters), fmt.Sprintf("%d", st.Rounds), st.Rounds == iters)
 	return r, nil
 }

@@ -14,8 +14,8 @@ import (
 // plus one shard per pod (the pod's hosts, ToRs, Aggs and the links between
 // them). The shards advance in conservative time windows under sim.Sharded;
 // each owns a private netsim.Sim scoped to its pod's links, so pod-local
-// traffic — the common case under segment-first placement — simulates in
-// parallel with no shared mutable state.
+// traffic — the common case under segment-first placement — simulates
+// per pod with no mutable state shared between pods.
 //
 // Escalation rule: any flow whose endpoints live in different pods must be
 // started on Global.Net, and the coordinator runs the global domain only
@@ -103,9 +103,11 @@ func shardTopology(arch Arch, t *topo.Topology, h *telemetry.Hub) (*ShardedClust
 	return sc, nil
 }
 
-// SetWorkers sets how many OS goroutines execute shard windows (1 = serial).
-// Results are identical for every worker count; only wall-clock changes.
-func (sc *ShardedCluster) SetWorkers(n int) { sc.Coord.SetWorkers(n) }
+// SetWorkers does nothing.
+//
+// Deprecated: ignored. Shard windows always run serially; the method
+// remains only so existing callers still compile.
+func (sc *ShardedCluster) SetWorkers(int) {}
 
 // Pod returns the cluster view simulating the given pod.
 func (sc *ShardedCluster) Pod(pod int) *Cluster { return sc.Pods[pod] }

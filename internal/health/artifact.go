@@ -82,7 +82,8 @@ func (m *Monitor) WriteTSV(w io.Writer) error {
 
 // ParseTSV reads a timeline written by WriteTSV back into incidents (by ID
 // order) and iteration reports (by iteration order) — the hpndoctor input
-// path.
+// path. Accepted input survives a rewrite: parsing what WriteTSV writes
+// from the result gives the result again (FuzzParseTSV).
 func ParseTSV(r io.Reader) ([]Incident, []IterationReport, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -170,8 +171,20 @@ func ParseTSV(r io.Reader) ([]Incident, []IterationReport, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	sort.SliceStable(incs, func(i, j int) bool { return incs[i].ID < incs[j].ID })
-	sort.SliceStable(iters, func(i, j int) bool { return iters[i].Iter < iters[j].Iter })
+	// Ties on ID (or iteration) break by start, the writer's order, so a
+	// timeline with duplicate IDs reads back the same after a rewrite.
+	sort.SliceStable(incs, func(i, j int) bool {
+		if incs[i].ID != incs[j].ID {
+			return incs[i].ID < incs[j].ID
+		}
+		return incs[i].Start < incs[j].Start
+	})
+	sort.SliceStable(iters, func(i, j int) bool {
+		if iters[i].Iter != iters[j].Iter {
+			return iters[i].Iter < iters[j].Iter
+		}
+		return iters[i].Start < iters[j].Start
+	})
 	return incs, iters, nil
 }
 

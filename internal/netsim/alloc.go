@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"hpn/internal/sim"
 	"hpn/internal/topo"
@@ -55,9 +53,8 @@ import (
 // Filling a dirty component pops the most constrained link from a min-heap
 // keyed by fair share capRem/nShare and freezes exactly the flows on its
 // incidence list: O(F*P + L*log L) over the dirty region instead of the
-// reference's O(rounds * F * P). Dirty components fill serially or, past a
-// size threshold, in parallel across goroutines; each touches only its own
-// flows and links, so the rates are byte-identical at any worker count.
+// reference's O(rounds * F * P). Dirty components fill one after another
+// on the calling goroutine, each touching only its own flows and links.
 //
 // The original flows-x-hops implementation lives in
 // alloc_reference_test.go; the differential and mutation-sequence tests
@@ -76,12 +73,10 @@ const noLink topo.LinkID = -1
 // its links form an intrusive list threaded through Sim.linkNext, so
 // components own no slices and the allocator's persistent state stays
 // O(links + flows) however often component slots are reused. A free slot
-// has no flows. minT is the earliest projected completion of the last
-// fill (-1 when no flow moves).
+// has no flows.
 type allocComp struct {
 	links  topo.LinkID
 	nFlows int
-	minT   float64
 	dirty  bool // queued on Sim.dirtyComps for the next recompute
 }
 
@@ -146,11 +141,6 @@ func (h *linkHeap) popDiscard() {
 	s.siftDown(0)
 }
 
-// defaultParallelMinFlows is the dirty-region flow count below which
-// component filling always stays on the calling goroutine: under it, spawn
-// cost exceeds the fill work.
-const defaultParallelMinFlows = 192
-
 // markComp queues a component for rebuild at the next recompute.
 func (s *Sim) markComp(ci int32) {
 	if c := &s.comps[ci]; !c.dirty {
@@ -207,48 +197,12 @@ func (s *Sim) recompute() {
 	s.phDirtyComps.Add(int64(len(s.rebuilt)))
 
 	ftk := s.phFill.Begin()
-	if workers := s.fillWorkers(len(region)); workers > 1 {
-		s.ensureHeaps(workers)
-		var next atomic.Int64
-		fill := func(shard int) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.rebuilt) {
-					return
-				}
-				c := &s.comps[s.rebuilt[i]]
-				c.minT = s.fillComponent(c, s.rebuilt[i], &s.heaps[shard], shard)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fill(w)
-			}()
-		}
-		// The calling goroutine fills as worker 0, so merge_wait measures
-		// only the wait for straggling workers.
-		fill(0)
-		wtk := s.phMergeWait.Begin()
-		wg.Wait()
-		s.phMergeWait.End(wtk)
-	} else {
-		s.ensureHeaps(1)
-		for _, ci := range s.rebuilt {
-			c := &s.comps[ci]
-			c.minT = s.fillComponent(c, ci, &s.heaps[0], 0)
-		}
-	}
-	s.phFill.End(ftk)
-	// Deterministic merge: an exact float min, independent of which worker
-	// filled what.
 	for _, ci := range s.rebuilt {
-		if t := s.comps[ci].minT; t >= 0 && (best < 0 || t < best) {
+		if t := s.fillComponent(&s.comps[ci], ci); t >= 0 && (best < 0 || t < best) {
 			best = t
 		}
 	}
+	s.phFill.End(ftk)
 
 	// Refresh probe accumulators from the allocation. Iteration goes through
 	// the registration-ordered probeList, never a map, so accumulator
@@ -275,6 +229,13 @@ func (s *Sim) recompute() {
 
 	s.scheduleCompletion(best)
 	s.phRecompute.End(rtk)
+	// Yield to the Go scheduler once per allocation round. On one OS
+	// thread (GOMAXPROCS 1) a simulation that never blocks gives the
+	// runtime's background GC mark and scavenger workers a turn only at
+	// preemption, so GC cycles run long and the heap overshoots: without
+	// the yield, peak RSS measured ~10% higher on dense-train and ~20%
+	// higher on multipod-longhaul.
+	runtime.Gosched()
 }
 
 // syncFabric dirties the component of every in-use link whose usability
@@ -384,43 +345,11 @@ func (s *Sim) rebuild(region []*Flow) {
 	}
 }
 
-// fillWorkers decides the fill parallelism for this recompute: 1 unless
-// at least two components are dirty and the dirty region holds enough
-// flows to amortize goroutine startup. ParallelFill pins the worker count
-// (1 forces serial); 0 defers to GOMAXPROCS.
-func (s *Sim) fillWorkers(regionFlows int) int {
-	if len(s.rebuilt) < 2 {
-		return 1
-	}
-	minFlows := s.ParallelFillMinFlows
-	if minFlows <= 0 {
-		minFlows = defaultParallelMinFlows
-	}
-	if regionFlows < minFlows {
-		return 1
-	}
-	w := s.ParallelFill
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(w, len(s.rebuilt)))
-}
-
-// ensureHeaps grows the per-worker heap scratch to n entries.
-func (s *Sim) ensureHeaps(n int) {
-	for len(s.heaps) < n {
-		s.heaps = append(s.heaps, nil)
-	}
-}
-
 // fillComponent runs progressive filling over one freshly rebuilt
 // component ci and returns its earliest projected completion in seconds
-// (-1 if none). It reads and writes only the component's own flows and links
-// (plus the worker-private heap), which is what makes parallel component
-// fills race-free and schedule-independent. shard is the caller's worker
-// index: heap operations are tallied locally and flushed once into that
-// profiler shard, so the hot loop costs nothing extra and concurrent
-// workers never share a counter cache line.
+// (-1 if none). It reads and writes only the component's own flows and
+// links, plus the shared heap scratch. Heap operations are tallied locally
+// and flushed once into the profiler, so the hot loop costs nothing extra.
 //
 // Invariant behind the lazy heap: freezing a flow at the current bottleneck
 // share can only raise the share of every link it crosses, so a popped
@@ -428,8 +357,9 @@ func (s *Sim) ensureHeaps(n int) {
 // is re-pushed at its current value; a fresh pop is the exact component-wide
 // minimum (every other link's current share is at least its heap key). The
 // tie tolerance matches the reference implementation's freeze threshold.
-func (s *Sim) fillComponent(c *allocComp, ci int32, h *linkHeap, shard int) float64 {
+func (s *Sim) fillComponent(c *allocComp, ci int32) float64 {
 	heapOps := int64(0)
+	h := &s.heap
 	hs := (*h)[:0]
 	for lk := c.links; lk != noLink; lk = s.linkNext[lk] {
 		if n := s.nShare[lk]; n > 0 {
@@ -504,7 +434,7 @@ func (s *Sim) fillComponent(c *allocComp, ci int32, h *linkHeap, shard int) floa
 			}
 		}
 	}
-	s.phHeapOps.AddShard(heapOps, shard)
+	s.phHeapOps.Add(heapOps)
 	return minT
 }
 

@@ -42,10 +42,6 @@ func newMutationRig(t *testing.T, seed int64) *mutationRig {
 	r := &mutationRig{t: t, rng: rng, top: top, eng: eng, s: New(eng, top),
 		nHosts: shape.segments * shape.hosts}
 	if rng.Intn(2) == 1 {
-		r.s.ParallelFill = 4
-		r.s.ParallelFillMinFlows = 1
-	}
-	if rng.Intn(2) == 1 {
 		r.s.EnableInband(0)
 	}
 	for _, l := range top.Links {

@@ -61,10 +61,9 @@ func checkMaxMinCertificate(t *testing.T, top *topo.Topology, flows []*Flow, rat
 
 // TestAllocDifferential pins the link-centric allocator in alloc.go against
 // the original flows-x-hops implementation (alloc_reference.go) on seeded
-// randomized topologies and flow sets, with failed links and forced
-// parallel filling mixed in. Every live rate must match the reference
-// within 1e-6 relative, and both rate vectors must carry a max-min
-// certificate.
+// randomized topologies and flow sets, with failed links mixed in. Every
+// live rate must match the reference within 1e-6 relative, and both rate
+// vectors must carry a max-min certificate.
 func TestAllocDifferential(t *testing.T) {
 	shapes := []struct {
 		segments, hosts, aggs int
@@ -82,12 +81,6 @@ func TestAllocDifferential(t *testing.T) {
 		}
 		eng := sim.New()
 		s := New(eng, top)
-		if trial%2 == 1 {
-			// Exercise the parallel fill path on half the trials; the rates
-			// must not depend on it.
-			s.ParallelFill = 4
-			s.ParallelFillMinFlows = 1
-		}
 		nHosts := shape.segments * shape.hosts
 		nFlows := 1 + rng.Intn(80)
 		s.Batch(func() {
@@ -219,8 +212,7 @@ func TestFillComponentDefensiveSweep(t *testing.T) {
 	s.inc[lk] = append(s.inc[lk], 0)
 
 	c := allocComp{links: noLink, nFlows: 1} // link list deliberately broken
-	s.ensureHeaps(1)
-	minT := s.fillComponent(&c, f.comp, &s.heaps[0], 0)
+	minT := s.fillComponent(&c, f.comp)
 
 	if f.Rate != 0 {
 		t.Fatalf("swept flow kept stale rate %v, want 0", f.Rate)

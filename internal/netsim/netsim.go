@@ -129,16 +129,9 @@ type Sim struct {
 	probeByLink []*LinkProbe
 	probeList   []*LinkProbe
 
-	// ParallelFill caps the goroutines used to fill the dirty contention
-	// components during a rate recomputation: 0 (the default) defers to
-	// GOMAXPROCS, 1 forces serial filling. Component fills are
-	// schedule-independent, so the allocation — and every derived artifact
-	// — is byte-identical at any setting; see alloc.go.
+	// Deprecated: ignored. Dirty components always fill serially; the
+	// field remains only so existing callers still compile.
 	ParallelFill int
-	// ParallelFillMinFlows is the dirty-region flow count below which
-	// filling stays serial regardless of ParallelFill (0 = a built-in
-	// default).
-	ParallelFillMinFlows int
 
 	// Allocator state; see alloc.go. Persistent across recomputes: the
 	// components, each in-use link's component, next link in that
@@ -167,7 +160,7 @@ type Sim struct {
 	rootComp   []int32
 	region     []*Flow
 	rebuilt    []int32
-	heaps      []linkHeap
+	heap       linkHeap
 	done       []*Flow // completionEvent harvest scratch
 
 	rerouteScheduled bool
@@ -214,7 +207,6 @@ type Sim struct {
 	phRecompute *prof.Phase
 	phDecompose *prof.Phase
 	phFill      *prof.Phase
-	phMergeWait *prof.Phase
 	phHeapOps   *prof.Phase
 	// Count-only allocator shape: components alive vs rebuilt and refilled
 	// per recompute.

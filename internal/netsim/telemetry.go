@@ -54,8 +54,7 @@ func (s *Sim) AttachProfiler(p *prof.Profiler, fl *prof.Flight) {
 	s.Flight = fl
 	s.phRecompute = p.Phase("netsim/recompute", "max-min allocation rounds, end to end")
 	s.phDecompose = p.Phase("netsim/decompose", "dirty-region collection, gather and union-find decomposition within recompute")
-	s.phFill = p.Phase("netsim/fill", "progressive filling of the dirty components (serial or parallel)")
-	s.phMergeWait = p.Phase("netsim/merge_wait", "parallel fill: time the coordinator, done with its own share, waited for straggling workers")
+	s.phFill = p.Phase("netsim/fill", "progressive filling of the dirty components")
 	s.phHeapOps = p.Phase("netsim/heap_ops", "link-heap pops and stale re-keys during fills (count-only)")
 	s.phComponents = p.Phase("netsim/components", "allocator components alive, summed over recomputes (count-only)")
 	s.phDirtyComps = p.Phase("netsim/dirty_components", "allocator components rebuilt and refilled, summed over recomputes (count-only)")

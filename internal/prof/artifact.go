@@ -22,9 +22,8 @@ type PhaseStat struct {
 }
 
 // Profile is the prof.json document: one run's phase breakdown plus the
-// host parallelism it ran under (ns/op comparisons across different
-// GOMAXPROCS are apples to oranges for the parallel phases, so the
-// comparator surfaces it).
+// GOMAXPROCS it ran under, which the comparator surfaces so profiles
+// taken under different settings are not compared blindly.
 type Profile struct {
 	GoMaxProcs int         `json:"gomaxprocs"`
 	Phases     []PhaseStat `json:"phases"`
@@ -48,8 +47,12 @@ func (p *Profiler) WriteTSV(w io.Writer) error {
 }
 
 // WriteJSON writes the Profile document (see ParseProfile).
-func (p *Profiler) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(p.Profile(), "", "  ")
+func (p *Profiler) WriteJSON(w io.Writer) error { return p.Profile().WriteJSON(w) }
+
+// WriteJSON writes the document in the prof.json format ParseProfile
+// reads.
+func (pr *Profile) WriteJSON(w io.Writer) error {
+	buf, err := json.MarshalIndent(pr, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,4 +1,4 @@
-// Sharded event loop: conservative time-window parallel simulation.
+// Sharded event loop: conservative time windows over per-pod engines.
 //
 // The fabric model has no per-link propagation delay, so the classic
 // conservative-PDES lookahead — "no shard can affect another sooner than
@@ -14,22 +14,21 @@
 //	W = min( next global event, min shard next event + Lookahead )
 //
 // With Lookahead 0 (the fabric's true cross-shard latency) the second term
-// is disabled and shards simply run in parallel up to the next global
-// event; with a positive Lookahead (a future fabric that models
-// propagation delay) direct shard-to-shard posts are admitted as long as
-// each declares a delay >= Lookahead, which provably keeps every delivery
-// inside the receiver's future.
+// is disabled and each shard simply runs up to the next global event; with
+// a positive Lookahead (a future fabric that models propagation delay)
+// direct shard-to-shard posts are admitted as long as each declares a
+// delay >= Lookahead, which provably keeps every delivery inside the
+// receiver's future.
 //
 // Cross-domain interaction goes through per-sender mailboxes drained at
-// window barriers in (sender domain ID, send sequence) order — the same
-// exact-merge discipline netsim's ParallelFill established: worker count
-// changes the goroutine schedule, never the merged order, so artifacts
-// stay byte-identical between workers=1 and workers=N.
+// window barriers in (sender domain ID, send sequence) order. Shards of a
+// window run one after another in domain order on the calling goroutine;
+// the mailboxes keep a shard's effects on other domains invisible until
+// the barrier, so that order never shows in the results.
 package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"hpn/internal/prof"
 )
@@ -51,28 +50,22 @@ type post struct {
 // conservative time windows. Construct with NewSharded; drive with Run.
 type Sharded struct {
 	engines []*Engine // index 0 = global domain, 1..K = shards
-	workers int
 	// lookahead is the minimum declared latency of direct shard-to-shard
 	// posts; 0 means such posts are forbidden (hub-and-spoke only).
 	lookahead Time
 
 	// outbox[d] collects domain d's outgoing posts during a window. Each
-	// slice has exactly one writer — the goroutine executing domain d — and
-	// is drained only at barriers, so no lock is needed and the merge order
-	// is deterministic by construction (sender ID, then append order, which
-	// is the sender's own event order).
+	// slice is written only by domain d's events and drained only at
+	// barriers, so the merge order is deterministic by construction (sender
+	// ID, then append order, which is the sender's own event order).
 	outbox [][]post
 
-	// runnable is scratch for the per-window active-shard set.
-	runnable []*Engine
-
-	phWindow   *prof.Phase // sim/window_sync: one Begin/End per parallel window
+	phWindow   *prof.Phase // sim/window_sync: one Begin/End per shard window
 	phExchange *prof.Phase // sim/mailbox_exchange: one Begin/End per barrier drain
 
-	// Windows counts parallel shard windows executed; Exchanged counts
-	// cross-domain posts delivered. Both are pure functions of the
-	// simulated run (window edges depend only on event times), so they are
-	// deterministic across worker counts.
+	// Windows counts shard windows executed; Exchanged counts cross-domain
+	// posts delivered. Both are pure functions of the simulated run (window
+	// edges depend only on event times).
 	Windows   int
 	Exchanged int
 }
@@ -89,7 +82,6 @@ func NewSharded(global *Engine, shards []*Engine) *Sharded {
 	engines = append(engines, shards...)
 	return &Sharded{
 		engines: engines,
-		workers: 1,
 		outbox:  make([][]post, len(engines)),
 	}
 }
@@ -99,19 +91,6 @@ func (s *Sharded) Shards() int { return len(s.engines) - 1 }
 
 // Engine returns the engine of domain id (GlobalDomain or 1..Shards()).
 func (s *Sharded) Engine(id int) *Engine { return s.engines[id] }
-
-// SetWorkers sets how many goroutines execute shard windows; n <= 1 runs
-// shards serially in domain order, which is the determinism baseline the
-// golden tests compare against. Artifacts are byte-identical for every n.
-func (s *Sharded) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers returns the configured worker count.
-func (s *Sharded) Workers() int { return s.workers }
 
 // SetLookahead declares the minimum cross-shard interaction latency,
 // admitting direct shard-to-shard posts whose delay is at least la. Zero
@@ -126,7 +105,7 @@ func (s *Sharded) SetLookahead(la Time) {
 
 // SetProfiler registers the coordinator's phases. Nil-safe.
 func (s *Sharded) SetProfiler(p *prof.Profiler) {
-	s.phWindow = p.Phase("sim/window_sync", "parallel shard windows executed (wall covers run+join of each window)")
+	s.phWindow = p.Phase("sim/window_sync", "shard windows executed (wall covers every shard's run in the window)")
 	s.phExchange = p.Phase("sim/mailbox_exchange", "window-barrier mailbox drains (count via Add: posts delivered)")
 }
 
@@ -138,7 +117,7 @@ func (s *Sharded) SetProfiler(p *prof.Profiler) {
 // concurrently with a shard — but their delivery still waits for the next
 // barrier, so a delivery time inside the receiver's already-executed
 // window is clamped forward to the receiver's clock (deterministically:
-// window edges and shard progress do not depend on the worker count).
+// window edges and shard progress depend only on event times).
 func (s *Sharded) Post(from int, delay Time, to int, fn func()) {
 	if to < 0 || to >= len(s.engines) || from < 0 || from >= len(s.engines) {
 		panic(fmt.Sprintf("sim: post from domain %d to domain %d out of range", from, to))
@@ -205,13 +184,11 @@ func nextFire(e *Engine) (Time, bool) {
 // Run advances all domains in lockstep until no domain has foreground
 // work and no posts are in flight. Each round either (a) runs the global
 // domain exclusively up to the earliest shard event — shards are quiescent,
-// so cross-shard state is owned by exactly one goroutine — or (b) runs
-// every shard with work in parallel through the window ending at the next
-// global event (extended by Lookahead bookkeeping when configured). Ties
-// go to the global domain. The artifact streams produced are identical
-// for every worker count: window edges depend only on event times, and
-// mailbox merges are ordered by (sender, send seq), never by goroutine
-// scheduling.
+// so cross-shard state has exactly one owner — or (b) runs every shard
+// with work through the window ending at the next global event (extended
+// by Lookahead bookkeeping when configured). Ties go to the global domain.
+// Window edges depend only on event times, and mailbox merges are ordered
+// by (sender, send seq).
 func (s *Sharded) Run() {
 	for {
 		s.exchange()
@@ -247,41 +224,16 @@ func (s *Sharded) Run() {
 }
 
 // window executes one conservative window: every shard with a fireable
-// event at or before w runs RunCapped(w), serially in domain order under
-// workers=1 or fanned out over the worker pool otherwise. Shards touch
+// event at or before w runs RunCapped(w), in domain order. Shards touch
 // disjoint engines and (by the hub-and-spoke contract) disjoint simulator
-// state, so the only synchronization is the join; results are not merged
-// here at all — cross-domain effects travel exclusively through the
-// mailboxes drained by exchange.
+// state, so results are not merged here at all — cross-domain effects
+// travel exclusively through the mailboxes drained by exchange.
 func (s *Sharded) window(w Time) {
 	tk := s.phWindow.Begin()
-	runnable := s.runnable[:0]
 	for _, sh := range s.engines[1:] {
 		if t, ok := nextFire(sh); ok && t <= w {
-			runnable = append(runnable, sh)
-		}
-	}
-	s.runnable = runnable[:0] // keep the backing array
-	if s.workers <= 1 || len(runnable) <= 1 {
-		for _, sh := range runnable {
 			sh.RunCapped(w)
 		}
-	} else {
-		n := s.workers
-		if n > len(runnable) {
-			n = len(runnable)
-		}
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for j := 0; j < n; j++ {
-			go func(j int) {
-				defer wg.Done()
-				for k := j; k < len(runnable); k += n {
-					runnable[k].RunCapped(w)
-				}
-			}(j)
-		}
-		wg.Wait()
 	}
 	s.Windows++
 	s.phWindow.End(tk)

@@ -56,13 +56,13 @@ func TestShardedHubSpoke(t *testing.T) {
 	}
 }
 
-// TestShardedDeterministicMerge is the exact-merge property: a run with
-// workers=1 and runs with several worker counts must produce identical
-// per-domain event logs, including the global log that interleaves every
-// shard's posts. Shards deliberately finish in an order that differs from
-// their domain order so a schedule-dependent merge would be caught.
+// TestShardedDeterministicMerge is the exact-merge property: the global
+// log that interleaves every shard's posts is ordered by delivery time,
+// then sender domain, and two runs produce identical per-domain event
+// logs. Shards deliberately finish in an order that differs from their
+// domain order, so a merge by completion order would be caught.
 func TestShardedDeterministicMerge(t *testing.T) {
-	run := func(workers int) (global []string, local [][]string) {
+	run := func() (global []string, local [][]string) {
 		g := New()
 		const K = 5
 		shards := make([]*Engine, K)
@@ -70,7 +70,6 @@ func TestShardedDeterministicMerge(t *testing.T) {
 			shards[i] = New()
 		}
 		s := NewSharded(g, shards)
-		s.SetWorkers(workers)
 		local = make([][]string, K)
 		for i := 0; i < K; i++ {
 			i := i
@@ -101,18 +100,17 @@ func TestShardedDeterministicMerge(t *testing.T) {
 		return global, local
 	}
 
-	refG, refL := run(1)
-	if len(refG) != 6 {
-		t.Fatalf("reference global log has %d entries, want 6: %v", len(refG), refG)
+	refG, refL := run()
+	wantG := []string{"done4@10ns", "hub@25ns", "done2@30ns", "done1@40ns", "done3@40ns", "done0@50ns"}
+	if !reflect.DeepEqual(refG, wantG) {
+		t.Fatalf("global log = %v, want %v", refG, wantG)
 	}
-	for _, w := range []int{2, 4, 8} {
-		gLog, lLog := run(w)
-		if !reflect.DeepEqual(gLog, refG) {
-			t.Errorf("workers=%d global log diverges:\n  got  %v\n  want %v", w, gLog, refG)
-		}
-		if !reflect.DeepEqual(lLog, refL) {
-			t.Errorf("workers=%d shard logs diverge:\n  got  %v\n  want %v", w, lLog, refL)
-		}
+	gLog, lLog := run()
+	if !reflect.DeepEqual(gLog, refG) {
+		t.Errorf("global log diverges between runs:\n  got  %v\n  want %v", gLog, refG)
+	}
+	if !reflect.DeepEqual(lLog, refL) {
+		t.Errorf("shard logs diverge between runs:\n  got  %v\n  want %v", lLog, refL)
 	}
 }
 
@@ -186,13 +184,12 @@ func TestShardedClampedDelivery(t *testing.T) {
 }
 
 // TestShardedWindowCounts checks the coordinator's window/exchange counters
-// are pure functions of the event schedule (identical across worker counts).
+// are pure functions of the event schedule (identical across runs).
 func TestShardedWindowCounts(t *testing.T) {
-	build := func(workers int) *Sharded {
+	build := func() *Sharded {
 		g := New()
 		shards := []*Engine{New(), New(), New()}
 		s := NewSharded(g, shards)
-		s.SetWorkers(workers)
 		for i, e := range shards {
 			i := i
 			e.ScheduleAt(Time(10+i), func() {
@@ -203,15 +200,12 @@ func TestShardedWindowCounts(t *testing.T) {
 		s.Run()
 		return s
 	}
-	ref := build(1)
+	ref := build()
 	if ref.Windows == 0 || ref.Exchanged != 3 {
 		t.Fatalf("reference run: Windows=%d Exchanged=%d, want >0 and 3", ref.Windows, ref.Exchanged)
 	}
-	for _, w := range []int{2, 8} {
-		s := build(w)
-		if s.Windows != ref.Windows || s.Exchanged != ref.Exchanged {
-			t.Errorf("workers=%d: Windows=%d Exchanged=%d, want %d and %d",
-				w, s.Windows, s.Exchanged, ref.Windows, ref.Exchanged)
-		}
+	if s := build(); s.Windows != ref.Windows || s.Exchanged != ref.Exchanged {
+		t.Errorf("second run: Windows=%d Exchanged=%d, want %d and %d",
+			s.Windows, s.Exchanged, ref.Windows, ref.Exchanged)
 	}
 }

@@ -18,7 +18,6 @@ package topo
 
 import (
 	"fmt"
-	"sync/atomic"
 )
 
 // NodeID indexes a node within a Topology.
@@ -149,8 +148,7 @@ type Topology struct {
 	// topology (a sharded ensemble runs one per domain) and each caches
 	// state derived from link usability, so each compares this counter
 	// with the value it last saw to notice changes made by the others.
-	// Atomic because domains mutate their own links concurrently.
-	stateGen atomic.Uint64
+	stateGen uint64
 }
 
 // HostPort names one NIC port of one host.
@@ -270,7 +268,7 @@ func (t *Topology) TotalGPUs(activeOnly bool) int {
 func (t *Topology) SetLinkState(id LinkID, up bool) {
 	t.Links[id].Up = up
 	t.refreshUsable(id)
-	t.stateGen.Add(1)
+	t.stateGen++
 }
 
 // SetCableState sets both directions of a cable.
@@ -279,7 +277,7 @@ func (t *Topology) SetCableState(id LinkID, up bool) {
 	t.Links[t.Links[id].Reverse].Up = up
 	t.refreshUsable(id)
 	t.refreshUsable(t.Links[id].Reverse)
-	t.stateGen.Add(1)
+	t.stateGen++
 }
 
 // SetNodeState marks a node (and implicitly all its links) up or down.
@@ -292,12 +290,12 @@ func (t *Topology) SetNodeState(id NodeID, up bool) {
 	for _, l := range t.Links {
 		t.refreshUsable(l.ID)
 	}
-	t.stateGen.Add(1)
+	t.stateGen++
 }
 
 // StateGen returns a counter that grows with every link or node state
 // change. Equal values mean no Set*State call happened in between.
-func (t *Topology) StateGen() uint64 { return t.stateGen.Load() }
+func (t *Topology) StateGen() uint64 { return t.stateGen }
 
 // LinkUsable reports whether a link can carry traffic: link up, both ends
 // up. It is the allocator's and router's innermost predicate, so the

@@ -52,7 +52,7 @@ func TestPinnedArtifactDigests(t *testing.T) {
 	for name, b := range memo {
 		got["memo/"+name] = b
 	}
-	sharded, _ := shardedArtifacts(t, 1, 4, false, true)
+	sharded, _ := shardedArtifacts(t, 4, false, true)
 	for name, b := range sharded {
 		got["sharded/"+name] = b
 	}
