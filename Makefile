@@ -56,14 +56,16 @@ test:
 # recoveries, reroute passes) and checks every incremental recompute
 # against a forced full refill and the reference allocator, for a fixed
 # time box. A failing input lands in internal/netsim/testdata/fuzz. The
-# artifact parsers (in-band TSV, health timeline TSV, prof.json) are then
-# fuzzed for a few seconds each: no panic, and whatever a parser accepts
-# must read back unchanged after a rewrite.
+# artifact parsers (in-band TSV, health timeline TSV, prof.json) and the
+# BENCH snapshot reader behind `hpnbench -compare` are then fuzzed for a few
+# seconds each: no panic, and whatever a parser accepts must read back
+# unchanged after a rewrite.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAllocMutations -fuzztime=10s ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=3s ./internal/inband
 	$(GO) test -run=^$$ -fuzz=FuzzParseTSV -fuzztime=3s ./internal/health
 	$(GO) test -run=^$$ -fuzz=FuzzParseProfile -fuzztime=3s ./internal/prof
+	$(GO) test -run=^$$ -fuzz=FuzzLoadSnapshot -fuzztime=3s ./cmd/hpnbench
 
 bench:
 	$(GO) test -run=^$$ -bench=Telemetry -benchmem .

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -115,4 +117,41 @@ func TestCompareBadInput(t *testing.T) {
 	if _, err := runCompare(filepath.Join(dir, "missing.json"), ok, 0.10, &b); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// FuzzLoadSnapshot checks that loadSnapshot and runCompare never panic,
+// that every snapshot loadSnapshot accepts survives a JSON rewrite and a
+// second load unchanged, and that a snapshot compared with itself never
+// regresses.
+func FuzzLoadSnapshot(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("..", "..", "bench", "BENCH_20260809T010700Z.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"stamp":"\ud800","entries":[null,{"scenario":"x","flows_per_sec":-1e308,"wall_ns":-1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := loadSnapshot(path)
+		if _, cerr := runCompare(path, path, 0.10, io.Discard); (cerr == nil) != (err == nil) {
+			t.Fatalf("loadSnapshot error %v but runCompare error %v", err, cerr)
+		}
+		if err != nil {
+			return
+		}
+		again, err := loadSnapshot(writeSnap(t, dir, "again.json", *snap))
+		if err != nil {
+			t.Fatalf("rewritten snapshot does not load: %v", err)
+		}
+		if !reflect.DeepEqual(again, snap) {
+			t.Fatalf("round trip changed the snapshot:\n got  %+v\n want %+v", again, snap)
+		}
+		if regressed, _ := runCompare(path, path, 0.10, io.Discard); regressed != 0 {
+			t.Fatalf("snapshot compared with itself reports %d regression(s)", regressed)
+		}
+	})
 }

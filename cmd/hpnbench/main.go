@@ -15,69 +15,60 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
+	"strings"
 	"time"
 
 	"hpn"
 )
 
+// Experiments build many clusters; these caps bound the trace and the
+// in-band stream so a full sweep cannot exhaust memory.
+const (
+	maxTraceEvents = 2_000_000
+	maxInbandHops  = 2_000_000
+)
+
 func main() {
+	var obs hpn.RunOptions
+	obs.Bind(flag.CommandLine, "hpnbench")
 	var (
 		exp      = flag.String("exp", "all", "experiment ID (see -list) or 'all'")
 		scale    = flag.String("scale", "quick", "quick | full")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		csvDir   = flag.String("csv", "", "also dump recorded time series as CSV into this directory")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON covering every cluster built (one trace process each)")
-		promOut  = flag.String("metrics", "", "write Prometheus-text metrics to this file")
-		inbandTo = flag.String("inband", "", "enable in-band path telemetry on every cluster; write the per-hop inband.tsv/json (and other registry artifacts) into this directory after the sweep")
-		healthTo = flag.String("health", "", "enable online fabric health monitoring on every cluster; write the incidents.tsv/json causal timelines (render with hpndoctor) into this directory after the sweep")
 		benchOut = flag.String("benchout", "", "write a BENCH_<stamp>.json perf snapshot (scenario, ns/op, allocs, flows/sec) into this directory")
 		compare  = flag.Bool("compare", false, "compare two BENCH snapshots: hpnbench -compare old.json new.json")
 		tol      = flag.Float64("tolerance", 0.10, "with -compare: flows/sec may drop by this fraction before a scenario counts as regressed")
-		useMemo  = flag.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with sharded experiments)")
-		profTo   = flag.String("prof", "", "enable engine self-profiling on every cluster; write prof.tsv/json (render with hpnprof) and flight.tsv into this directory after the sweep")
-		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole sweep to this file")
-		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
+	if err := obs.Start(); err != nil {
+		obs.Exit(err)
 	}
-
-	memoOn := false
-	switch *useMemo {
-	case "on":
-		memoOn = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "hpnbench: -memo must be on or off, got %q\n", *useMemo)
-		os.Exit(2)
+	if *tol < 0 {
+		// Below -1 the regression test old/(1+tol) flips sign and passes
+		// every drop.
+		obs.Exit(hpn.Usagef("-tolerance must be at least 0, got %g", *tol))
 	}
 
 	if *compare {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "hpnbench: -compare needs exactly two snapshot paths: old.json new.json")
-			os.Exit(2)
+			obs.Exit(hpn.Usagef("-compare needs exactly two snapshot paths: old.json new.json"))
 		}
 		regressed, err := runCompare(flag.Arg(0), flag.Arg(1), *tol, os.Stdout)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: compare: %v\n", err)
-			os.Exit(2)
+			// Status 1 means a regression here, so an unreadable
+			// snapshot keeps status 2, as in hpnprof -compare.
+			obs.Exit(&hpn.UsageError{Err: fmt.Errorf("compare: %w", err)})
+		}
+		if err := obs.Finish(nil); err != nil {
+			obs.Exit(err)
 		}
 		if regressed > 0 {
 			os.Exit(1)
@@ -89,36 +80,10 @@ func main() {
 		for _, e := range hpn.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
+		if err := obs.Finish(nil); err != nil {
+			obs.Exit(err)
+		}
 		return
-	}
-
-	var hub *hpn.TelemetryHub
-	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *benchOut != "" || *profTo != "" || memoOn {
-		opt := hpn.DefaultTelemetryOptions()
-		opt.Trace = *traceOut != ""
-		opt.Inband = *inbandTo != ""
-		opt.Health = *healthTo != ""
-		opt.Memo = memoOn
-		opt.Prof = *profTo != ""
-		// Experiments build many clusters; bound the trace and the in-band
-		// stream so a full sweep cannot exhaust memory.
-		opt.MaxTraceEvents = 2_000_000
-		opt.InbandMax = 2_000_000
-		if *traceOut == "" && *promOut == "" && *inbandTo == "" && *healthTo == "" {
-			// -benchout and/or -prof alone: counters only, no sampler
-			// daemons perturbing the measured runs — the self-profiler
-			// accumulates at instrumentation points and needs no periodic
-			// ticks, and a perf measurement should not pay for sampling
-			// nobody asked for.
-			opt.SampleInterval = 0
-		}
-		if memoOn && opt.SampleInterval != 0 {
-			// The sampler's periodic daemon tick would land inside every
-			// candidate window and block memoization entirely.
-			opt.SampleInterval = 0
-			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
-		}
-		hub = hpn.EnableDefaultTelemetry(opt)
 	}
 
 	var s hpn.Scale
@@ -128,18 +93,18 @@ func main() {
 	case "full":
 		s = hpn.ScaleFull
 	default:
-		fmt.Fprintf(os.Stderr, "hpnbench: unknown scale %q (quick|full)\n", *scale)
-		os.Exit(2)
+		obs.Exit(hpn.Usagef("unknown scale %q (quick|full)", *scale))
+	}
+	ids, err := experimentIDs(*exp)
+	if err != nil {
+		obs.Exit(err)
 	}
 
-	var ids []string
-	if *exp == "all" {
-		for _, e := range hpn.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		ids = []string{*exp}
-	}
+	base := hpn.DefaultTelemetryOptions()
+	base.MaxTraceEvents = maxTraceEvents
+	base.InbandMax = maxInbandHops
+	// -benchout reads flow counts from the hub's registry.
+	hub := obs.NewHub(base, *benchOut != "")
 
 	failed := 0
 	var bench []benchEntry
@@ -196,58 +161,32 @@ func main() {
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
-	if hub != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(f *os.File) error {
-				_, err := hub.Tracer.WriteTo(f)
-				return err
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "hpnbench: trace: %v\n", err)
-				failed++
-			} else {
-				// Drops surface through the shared OverflowWarnings pass
-				// below, same as hpnsim.
-				fmt.Printf("wrote %s (%d events)\n", *traceOut, hub.Tracer.Events())
-			}
-		}
-		if *promOut != "" {
-			if err := writeFile(*promOut, func(f *os.File) error {
-				return hub.Registry.WritePrometheus(f)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "hpnbench: metrics: %v\n", err)
-				failed++
-			} else {
-				fmt.Printf("wrote %s\n", *promOut)
-			}
-		}
-		for _, dir := range artifactDirs(*inbandTo, *healthTo, *profTo) {
-			paths, err := hub.WriteArtifacts(dir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hpnbench: artifacts: %v\n", err)
-				failed++
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		}
-		for _, w := range hpn.OverflowWarnings(hub) {
-			fmt.Fprintln(os.Stderr, "hpnbench:", w)
-		}
-	}
-	if *memOut != "" {
-		if err := writeFile(*memOut, func(f *os.File) error {
-			return pprof.Lookup("allocs").WriteTo(f, 0)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: memprofile: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("wrote %s\n", *memOut)
-		}
-	}
+	err = obs.Finish(nil)
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "hpnbench: %d experiment(s) with failing claims\n", failed)
-		os.Exit(1)
+		err = errors.Join(err, fmt.Errorf("%d experiment(s) with failing claims", failed))
 	}
+	if err != nil {
+		obs.Exit(err)
+	}
+}
+
+// experimentIDs resolves -exp to the experiments to run, rejecting an
+// unknown ID before anything runs.
+func experimentIDs(exp string) ([]string, error) {
+	var ids []string
+	for _, e := range hpn.Experiments() {
+		if exp == "all" || exp == e.ID {
+			ids = append(ids, e.ID)
+		}
+	}
+	if len(ids) == 0 {
+		var valid []string
+		for _, e := range hpn.Experiments() {
+			valid = append(valid, e.ID)
+		}
+		return nil, hpn.Usagef("unknown experiment %q; valid: all, %s", exp, strings.Join(valid, ", "))
+	}
+	return ids, nil
 }
 
 // benchEntry is one experiment's row in the BENCH_<stamp>.json snapshot:
@@ -276,28 +215,6 @@ type benchSnapshot struct {
 // first). Returns 0 without a hub.
 func flowsCompleted(hub *hpn.TelemetryHub) float64 {
 	return hpn.MetricSum(hub, "netsim_flows_completed_total")
-}
-
-// artifactDirs deduplicates the artifact output directories (both -inband
-// and -health dump the full registry artifact set).
-func artifactDirs(dirs ...string) []string {
-	var out []string
-	for _, d := range dirs {
-		if d == "" {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // mallocs reads the process-lifetime heap allocation count.
@@ -330,16 +247,4 @@ func writeBenchSnapshot(dir, scale string, entries []benchEntry) (string, error)
 		return "", err
 	}
 	return path, nil
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

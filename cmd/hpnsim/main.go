@@ -11,76 +11,33 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime/pprof"
 	"strings"
 
 	"hpn"
 )
 
 func main() {
+	var obs hpn.RunOptions
+	obs.Bind(flag.CommandLine, "hpnsim")
 	var (
-		arch     = flag.String("arch", "hpn", "hpn | dcn")
-		model    = flag.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
-		hosts    = flag.Int("hosts", 16, "hosts (8 GPUs each)")
-		tp       = flag.Int("tp", 8, "tensor parallelism")
-		pp       = flag.Int("pp", 1, "pipeline parallelism")
-		iters    = flag.Int("iters", 5, "iterations to simulate")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-		promOut  = flag.String("metrics", "", "write Prometheus-text metrics to this file")
-		inbandTo = flag.String("inband", "", "enable in-band path telemetry and write run artifacts (per-hop inband.tsv/json, flow log, samples) into this directory")
-		healthTo = flag.String("health", "", "enable online fabric health monitoring and write run artifacts (incidents.tsv/json causal timeline; render with hpndoctor) into this directory")
-		useMemo  = flag.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods)")
-		pods     = flag.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
-		profTo   = flag.String("prof", "", "enable engine self-profiling and write run artifacts (prof.tsv/json phase breakdown — render with hpnprof — and the flight.tsv incident event ring) into this directory")
-		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		arch  = flag.String("arch", "hpn", "hpn | dcn")
+		model = flag.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
+		hosts = flag.Int("hosts", 16, "hosts (8 GPUs each)")
+		tp    = flag.Int("tp", 8, "tensor parallelism")
+		pp    = flag.Int("pp", 1, "pipeline parallelism")
+		iters = flag.Int("iters", 5, "iterations to simulate")
+		pods  = flag.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
 	)
 	flag.Parse()
 
 	if err := checkShape(*hosts, *tp, *pp, *iters, *pods); err != nil {
-		fmt.Fprintln(os.Stderr, "hpnsim:", err)
-		os.Exit(2)
+		obs.Exit(&hpn.UsageError{Err: err})
 	}
-
-	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
+	if err := obs.Start(); err != nil {
+		obs.Exit(err)
 	}
-
-	memoOn := false
-	switch *useMemo {
-	case "on":
-		memoOn = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "hpnsim: -memo must be on or off, got %q\n", *useMemo)
-		os.Exit(2)
-	}
-
-	var hub *hpn.TelemetryHub
-	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *profTo != "" || memoOn {
-		opt := hpn.DefaultTelemetryOptions()
-		opt.Trace = *traceOut != ""
-		opt.Inband = *inbandTo != ""
-		opt.Health = *healthTo != ""
-		opt.Memo = memoOn
-		opt.Prof = *profTo != ""
-		if memoOn && opt.SampleInterval != 0 {
-			// The sampler's periodic daemon tick would land inside every
-			// candidate window and block memoization entirely.
-			opt.SampleInterval = 0
-			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
-		}
-		hub = hpn.EnableDefaultTelemetry(opt)
-	}
+	hub := obs.NewHub(hpn.DefaultTelemetryOptions(), false)
 
 	var m hpn.ModelSpec
 	switch strings.ToLower(*model) {
@@ -91,20 +48,16 @@ func main() {
 	case "gpt-175b":
 		m = hpn.GPT175B
 	default:
-		fmt.Fprintf(os.Stderr, "hpnsim: unknown model %q\n", *model)
-		os.Exit(2)
+		obs.Exit(hpn.Usagef("unknown model %q", *model))
 	}
 
 	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: *hosts * 8 / (*tp * *pp)}
-	out := outputs{trace: *traceOut, metrics: *promOut, mem: *memOut,
-		dirs: artifactDirs(*inbandTo, *healthTo, *profTo)}
 
 	if *pods > 1 {
 		if *arch != "hpn" {
-			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
-			os.Exit(2)
+			obs.Exit(hpn.Usagef("sharded multi-pod runs support -arch hpn only, got %q", *arch))
 		}
-		runSharded(hub, m, par, *pods, *hosts, *iters, out, *inbandTo != "")
+		runSharded(&obs, hub, m, par, *pods, *hosts, *iters)
 		return
 	}
 
@@ -123,34 +76,33 @@ func main() {
 	case "dcn":
 		c, err = hpn.NewDCN(hpn.SmallDCN((*hosts + 63) / 64))
 	default:
-		fmt.Fprintf(os.Stderr, "hpnsim: unknown arch %q\n", *arch)
-		os.Exit(2)
+		obs.Exit(hpn.Usagef("unknown arch %q", *arch))
 	}
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
-	if *inbandTo != "" {
+	if obs.Inband != "" {
 		// The per-hop stream is exported alongside the completed-flow log.
 		c.Net.EnableFlowLog(0)
 	}
 
 	placed, err := c.PlaceJob(*hosts)
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 	job, err := hpn.NewJob(m, par, placed)
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 	tr, err := hpn.NewTrainer(c, job)
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 
 	fmt.Printf("%s on %s: %d GPUs (TP=%d PP=%d DP=%d), %d segments\n",
 		m.Name, c.Arch, par.GPUs(), par.TP, par.PP, par.DP, c.SegmentsSpanned(placed))
 	if err := tr.Start(*iters); err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 	c.Eng.Run()
 
@@ -171,18 +123,16 @@ func main() {
 	if tr.FirstErr != nil {
 		fmt.Fprintf(os.Stderr, "hpnsim: warning: sync-phase launch error (first recorded; count in workload_sync_errors_total): %v\n", tr.FirstErr)
 	}
-	for _, w := range hpn.OverflowWarnings(hub) {
-		fmt.Fprintln(os.Stderr, "hpnsim:", w)
+	if err := obs.Finish(nil); err != nil {
+		obs.Exit(err)
 	}
-
-	writeOutputs(hub, out, hub.WriteArtifacts)
 }
 
 // runSharded is the -pods > 1 path: one engine shard per pod under the
 // conservative-window coordinator, one training job per pod, and the
 // cross-pod gradient exchange on the global domain.
-func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
-	pods, hosts, iters int, out outputs, flowLog bool) {
+func runSharded(obs *hpn.RunOptions, hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
+	pods, hosts, iters int) {
 	segHosts := hosts
 	if segHosts > 128 {
 		segHosts = 128
@@ -190,9 +140,9 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	segments := (hosts + segHosts - 1) / segHosts
 	sc, err := hpn.NewShardedHPN(hpn.MultiPodHPN(pods, segments, segHosts, 16), hub)
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
-	if flowLog {
+	if obs.Inband != "" {
 		sc.Global.Net.EnableFlowLog(0)
 		for _, pc := range sc.Pods {
 			pc.Net.EnableFlowLog(0)
@@ -200,12 +150,12 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	}
 	st, err := hpn.NewShardedTrainer(sc, m, par)
 	if err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 	fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d)\n",
 		m.Name, sc.Arch, pods, par.GPUs(), par.TP, par.PP, par.DP)
 	if err := st.Start(iters); err != nil {
-		fail(err)
+		obs.Exit(err)
 	}
 	sc.Run()
 
@@ -231,13 +181,12 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	if st.FirstErr != nil {
 		fmt.Fprintf(os.Stderr, "hpnsim: warning: cross-pod sync launch error: %v\n", st.FirstErr)
 	}
-	for _, w := range hpn.OverflowWarnings(hub) {
-		fmt.Fprintln(os.Stderr, "hpnsim:", w)
-	}
 
 	// The flat trace file carries the global domain's process; the per-pod
 	// traces land as c2_trace.json, ... in the artifact dirs.
-	writeOutputs(hub, out, sc.WriteArtifacts)
+	if err := obs.Finish(sc.WriteArtifacts); err != nil {
+		obs.Exit(err)
+	}
 }
 
 // checkShape rejects job-shape flags that would divide by zero or
@@ -255,90 +204,4 @@ func checkShape(hosts, tp, pp, iters, pods int) error {
 		return fmt.Errorf("%d GPUs not divisible by tp*pp=%d", gpus, tp*pp)
 	}
 	return nil
-}
-
-// outputs names the files and directories a run writes after it ends.
-type outputs struct {
-	trace, metrics, mem string
-	dirs                []string
-}
-
-// writeOutputs writes the requested outputs: the root hub's trace and
-// Prometheus metrics, every artifact directory through writeDir (which
-// differs between one cluster and a sharded ensemble), then the heap
-// profile.
-func writeOutputs(hub *hpn.TelemetryHub, out outputs, writeDir func(dir string) ([]string, error)) {
-	if hub != nil {
-		if out.trace != "" {
-			if err := writeFile(out.trace, func(f io.Writer) error {
-				_, err := hub.Tracer.WriteTo(f)
-				return err
-			}); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s (%d events)\n", out.trace, hub.Tracer.Events())
-		}
-		if out.metrics != "" {
-			if err := writeFile(out.metrics, hub.Registry.WritePrometheus); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", out.metrics)
-		}
-		for _, dir := range out.dirs {
-			paths, err := writeDir(dir)
-			if err != nil {
-				fail(err)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		}
-	}
-	if out.mem != "" {
-		if err := writeFile(out.mem, func(f io.Writer) error {
-			return pprof.Lookup("allocs").WriteTo(f, 0)
-		}); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", out.mem)
-	}
-}
-
-// artifactDirs deduplicates the artifact output directories (both -inband
-// and -health dump the full registry artifact set).
-func artifactDirs(dirs ...string) []string {
-	var out []string
-	for _, d := range dirs {
-		if d == "" {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hpnsim:", err)
-	os.Exit(1)
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -70,5 +72,32 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		if !strings.Contains(string(out), "must be at least 1") || strings.Contains(string(out), "panic") {
 			t.Errorf("%v: output lacks the rejection message or panicked:\n%s", args, out)
 		}
+	}
+}
+
+// TestCPUProfileFlushedOnFailure runs a job whose trace cannot be written
+// and expects exit status 1 with a complete CPU profile: the failure path
+// must stop the profile, not leave an empty file.
+func TestCPUProfileFlushedOnFailure(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip("cannot locate the test binary")
+	}
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.prof")
+	cmd := exec.Command(exe, "-hosts", "4", "-iters", "1", "-cpuprofile", prof,
+		"-trace", filepath.Join(dir, "missing", "trace.json"))
+	cmd.Env = append(os.Environ(), "HPNSIM_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit status 1\n%s", err, out)
+	}
+	buf, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf, []byte{0x1f, 0x8b}) {
+		t.Fatalf("CPU profile is %d bytes without the gzip magic; the failure path did not stop it", len(buf))
 	}
 }

@@ -92,8 +92,8 @@ type fnFacts struct {
 	calls      []callRec
 	paramSink  map[int][]seed // parameter reaches an ordered sink directly
 	paramFlows []paramFlow
-	paramEmit  map[int]seed   // unguarded emission with the parameter as receiver
-	paramRule  map[int]string // "tracenil" or "obsnil" for paramEmit
+	paramEmit  map[int]seed      // unguarded emission with the parameter as receiver
+	paramGuard map[int]*nilGuard // the guarded type of each paramEmit
 
 	builders        []objSeed // local slices/strings built in map-iteration order
 	assignsFromCall []assignFromCall

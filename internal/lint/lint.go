@@ -25,14 +25,11 @@
 //     ranging over or sinking of data a callee built in map order.
 //   - floateq:    no ==/!= between floating-point operands; the fluid
 //     solver compares with epsilons.
-//   - tracenil:   telemetry emission sites must sit behind a nil-tracer
-//     guard — including call sites that pass a possibly-nil tracer to a
-//     helper that emits on it unguarded.
-//   - obsnil:     netsim.Observer callback sites must sit behind a
-//     nil-observer guard, with the same interprocedural obligation.
-//   - profnil:    prof.Flight recorder emission sites (Note/Mark) must sit
-//     behind a nil-recorder guard, with the same interprocedural
-//     obligation.
+//   - nilguard:   emission sites on the opt-in observers — telemetry
+//     Tracer (Complete/Instant/Counter), netsim.Observer callbacks and
+//     prof.Flight (Note/Mark) — must sit behind a nil guard, including
+//     call sites that pass a possibly-nil receiver to a helper that emits
+//     on it unguarded.
 //   - goorder:    goroutine results must be merged index-addressed or
 //     sorted, never by channel-receive order or shared-slice append.
 //   - floatacc:   no float accumulation whose reduction order depends on
@@ -115,9 +112,7 @@ func AllRules() []Rule {
 		globalrandRule{},
 		maporderRule{},
 		floateqRule{},
-		tracenilRule{},
-		obsnilRule{},
-		profnilRule{},
+		nilguardRule{},
 		goorderRule{},
 		floataccRule{},
 		seqsourceRule{},

@@ -192,7 +192,7 @@ func TestInterprocChains(t *testing.T) {
 }
 
 // TestFixturesFailWithRuleDisabled is the inverse guard: dropping any
-// single rule from the set must leave that fixture's wants unmatched.
+// single rule from the set must leave that rule's fixture wants unmatched.
 // It re-implements the matching loop in miniature so a silently
 // weakened rule cannot pass by accident.
 func TestFixturesFailWithRuleDisabled(t *testing.T) {
@@ -205,29 +205,40 @@ func TestFixturesFailWithRuleDisabled(t *testing.T) {
 				kept = append(kept, other)
 			}
 		}
-		dir := filepath.Join("testdata", "src", name)
-		pkg, err := ld.LoadDir(dir, "hpnlint.fixture/"+name)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", name, err)
-		}
-		diags := Run(ld.Fset, ld.Info, []*Package{pkg}, kept)
-		for _, d := range diags {
-			if d.Rule == name {
-				t.Errorf("rule %s disabled but still reported: %s", name, d)
+		for _, fixture := range fixturesOf(name) {
+			dir := filepath.Join("testdata", "src", fixture)
+			pkg, err := ld.LoadDir(dir, "hpnlint.fixture/"+fixture)
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", fixture, err)
 			}
-		}
-		// The fixture must carry wants for its own rule, and with the
-		// rule disabled none of them can be satisfied.
-		sawWant := false
-		for _, w := range collectWants(t, dir) {
-			if w.rule == name {
-				sawWant = true
+			diags := Run(ld.Fset, ld.Info, []*Package{pkg}, kept)
+			for _, d := range diags {
+				if d.Rule == name {
+					t.Errorf("rule %s disabled but still reported: %s", name, d)
+				}
 			}
-		}
-		if !sawWant {
-			t.Errorf("fixture %s has no wants for its own rule", name)
+			// The fixture must carry wants for its rule, and with the
+			// rule disabled none of them can be satisfied.
+			sawWant := false
+			for _, w := range collectWants(t, dir) {
+				if w.rule == name {
+					sawWant = true
+				}
+			}
+			if !sawWant {
+				t.Errorf("fixture %s has no wants for rule %s", fixture, name)
+			}
 		}
 	}
+}
+
+// fixturesOf names the fixture packages that exercise a rule: the one
+// named after it, or for nilguard one per guarded type.
+func fixturesOf(rule string) []string {
+	if rule == nilguardName {
+		return []string{"tracenil", "obsnil", "profnil"}
+	}
+	return []string{rule}
 }
 
 // TestRepoIsClean is the acceptance gate: hpnlint over the whole module

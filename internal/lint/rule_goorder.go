@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// goorderRule enforces the parallel exact-merge discipline ParallelFill
-// proved out: goroutine results must land in index-addressed slots (or be
-// sorted before use), never merged by whichever goroutine got there first.
+// goorderRule enforces an exact-merge discipline on any goroutine fan-out:
+// goroutine results must land in index-addressed slots (or be sorted
+// before use), never merged by whichever goroutine got there first.
 // Two shapes break that discipline and are flagged:
 //
 //   - shared-slice append: a go-launched function literal appending to a

@@ -1,4 +1,4 @@
-// Package obsnil is an hpnlint fixture: the obsnil rule must flag
+// Package obsnil is an hpnlint fixture: the nilguard rule must flag
 // netsim.Observer callback calls without a nil guard, accept both guard
 // shapes (enclosing if and early return), and ignore calls on concrete
 // implementations and on unrelated interfaces with identical method names.
@@ -16,11 +16,11 @@ type layer struct {
 }
 
 func (l *layer) unguardedLink(now sim.Time, lk topo.LinkID) {
-	l.obs.LinkEvent(now, lk, false) // want:obsnil "nil-observer guard"
+	l.obs.LinkEvent(now, lk, false) // want:nilguard "nil-observer guard"
 }
 
 func (l *layer) unguardedDone(now sim.Time, f *netsim.Flow) {
-	l.obs.FlowDone(now, f) // want:obsnil "nil-observer guard"
+	l.obs.FlowDone(now, f) // want:nilguard "nil-observer guard"
 }
 
 func (l *layer) enclosingIf(now sim.Time, n topo.NodeID) {
@@ -56,7 +56,7 @@ func (l *layer) earlyReturnOuterBlock(now sim.Time, links []topo.LinkID) {
 // wrongGuard guards a different expression: still a finding.
 func (l *layer) wrongGuard(other netsim.Observer, now sim.Time, lk topo.LinkID) {
 	if other != nil {
-		l.obs.LinkEvent(now, lk, false) // want:obsnil "nil-observer guard"
+		l.obs.LinkEvent(now, lk, false) // want:nilguard "nil-observer guard"
 	}
 }
 
@@ -87,5 +87,5 @@ func callOther(o otherIface, now sim.Time, lk topo.LinkID) {
 }
 
 func allowed(l *layer, now sim.Time, f *netsim.Flow) {
-	l.obs.FlowDone(now, f) //hpnlint:allow obsnil -- fixture: caller guarantees a live observer
+	l.obs.FlowDone(now, f) //hpnlint:allow nilguard -- fixture: caller guarantees a live observer
 }

@@ -1,4 +1,4 @@
-// Package profnil is an hpnlint fixture: the profnil rule must flag
+// Package profnil is an hpnlint fixture: the nilguard rule must flag
 // flight-recorder emission calls (Note/Mark) without a nil guard, accept
 // both guard shapes (enclosing if and early return), follow the
 // obligation through helpers that emit on a flight parameter, and leave
@@ -13,11 +13,11 @@ type engine struct {
 }
 
 func (e *engine) unguardedNote(now int64) {
-	e.fl.Note(now, "flows_done", "", 7, 0) // want:profnil "nil-recorder guard"
+	e.fl.Note(now, "flows_done", "", 7, 0) // want:nilguard "nil-recorder guard"
 }
 
 func (e *engine) unguardedMark(now int64) {
-	e.fl.Mark(now, "stall:seg01") // want:profnil "nil-recorder guard"
+	e.fl.Mark(now, "stall:seg01") // want:nilguard "nil-recorder guard"
 }
 
 func (e *engine) enclosingIf(now int64) {
@@ -53,7 +53,7 @@ func (e *engine) earlyReturnOuterBlock(now int64, ids []int64) {
 // wrongGuard guards a different expression: still a finding.
 func (e *engine) wrongGuard(other *prof.Flight, now int64) {
 	if other != nil {
-		e.fl.Note(now, "flows_done", "", 1, 0) // want:profnil "nil-recorder guard"
+		e.fl.Note(now, "flows_done", "", 1, 0) // want:nilguard "nil-recorder guard"
 	}
 }
 
@@ -70,11 +70,11 @@ func (e *engine) phaseCallsAreClean() {
 // noteVia emits on a flight parameter unguarded: the emission itself is a
 // finding, and the guard obligation escapes to callers.
 func noteVia(fl *prof.Flight, now int64) {
-	fl.Note(now, "flows_done", "", 1, 0) // want:profnil "nil-recorder guard"
+	fl.Note(now, "flows_done", "", 1, 0) // want:nilguard "nil-recorder guard"
 }
 
 func (e *engine) callsHelperUnguarded(now int64) {
-	noteVia(e.fl, now) // want:profnil "possibly-nil flight recorder"
+	noteVia(e.fl, now) // want:nilguard "possibly-nil flight recorder"
 }
 
 func (e *engine) callsHelperGuarded(now int64) {
@@ -90,5 +90,5 @@ func freshRecorderIsClean(now int64) {
 }
 
 func (e *engine) allowed(now int64) {
-	e.fl.Mark(now, "drill") //hpnlint:allow profnil -- fixture: caller guarantees a live recorder
+	e.fl.Mark(now, "drill") //hpnlint:allow nilguard -- fixture: caller guarantees a live recorder
 }

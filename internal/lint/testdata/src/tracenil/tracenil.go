@@ -1,4 +1,4 @@
-// Package tracenil is an hpnlint fixture: the tracenil rule must flag
+// Package tracenil is an hpnlint fixture: the nilguard rule must flag
 // Tracer emission calls without a nil guard, accept both guard shapes
 // (enclosing if and early return), and ignore non-emission methods and
 // Registry.Counter.
@@ -12,11 +12,11 @@ type layer struct {
 }
 
 func (l *layer) unguarded(ts int64) {
-	l.tr.Instant(ts, "cat", "evt", 1) // want:tracenil "nil-tracer guard"
+	l.tr.Instant(ts, "cat", "evt", 1) // want:nilguard "nil-tracer guard"
 }
 
 func (l *layer) unguardedCounter(ts int64) {
-	l.tr.Counter(ts, "track", 1) // want:tracenil "nil-tracer guard"
+	l.tr.Counter(ts, "track", 1) // want:nilguard "nil-tracer guard"
 }
 
 func (l *layer) enclosingIf(ts int64) {
@@ -50,7 +50,7 @@ func (l *layer) earlyReturnOuterBlock(ts int64) {
 // wrongGuard guards a different expression: still a finding.
 func (l *layer) wrongGuard(other *telemetry.Tracer, ts int64) {
 	if other != nil {
-		l.tr.Instant(ts, "cat", "evt", 1) // want:tracenil "nil-tracer guard"
+		l.tr.Instant(ts, "cat", "evt", 1) // want:nilguard "nil-tracer guard"
 	}
 }
 
@@ -67,7 +67,7 @@ func (l *layer) metadataIsClean() {
 }
 
 func (l *layer) allowed(ts int64) {
-	l.tr.Instant(ts, "cat", "evt", 1) //hpnlint:allow tracenil -- fixture: caller guarantees a live tracer
+	l.tr.Instant(ts, "cat", "evt", 1) //hpnlint:allow nilguard -- fixture: caller guarantees a live tracer
 }
 
 // flushLoopUnguarded is the in-band flush shape gone wrong: one instant per
@@ -75,7 +75,7 @@ func (l *layer) allowed(ts int64) {
 // collector wired without a tracer must not panic on flush.
 func (l *layer) flushLoopUnguarded(ts int64, flows []int64) {
 	for i := range flows {
-		l.tr.Instant(ts+int64(i), "inband", "path_flush", 6) // want:tracenil "nil-tracer guard"
+		l.tr.Instant(ts+int64(i), "inband", "path_flush", 6) // want:nilguard "nil-tracer guard"
 	}
 }
 

@@ -244,7 +244,7 @@ func (s *Sim) recompute() {
 // failure handlers' own marking, so changes made through another
 // simulator sharing the topology are caught too. Only in-use links are
 // read, and a shard simulator uses only links its own domain owns, so the
-// marking is the same however concurrent domains interleave.
+// marking is the same whichever order the domains' windows run in.
 func (s *Sim) syncFabric() {
 	g := s.Top.StateGen()
 	if g == s.topoGen {

@@ -200,7 +200,7 @@ type Sim struct {
 	// Engine self-observability (nil = disabled; see AttachProfiler). Prof
 	// and Flight are exported so memo and health reach the shared instances
 	// through the Sim they already hold. Flight.Note sites follow the
-	// tracenil/obsnil guard discipline: arguments are built at the call
+	// nilguard lint discipline: arguments are built at the call
 	// site, so the site sits behind `if s.Flight != nil`.
 	Prof        *prof.Profiler
 	Flight      *prof.Flight
@@ -255,8 +255,7 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 // RestrictShard scopes the simulator to one shard of a partitioned fabric:
 // only flows between hosts of that shard are admitted, and the memo state
 // fingerprint covers only the shard's own links — so another shard's link
-// transitions neither invalidate this shard's cached windows nor race with
-// its fingerprint reads while windows execute in parallel. Contention is
+// transitions do not invalidate this shard's cached windows. Contention is
 // then structurally shard-local: every allocator component this Sim can
 // form lives entirely inside the shard's link set, which is exactly the
 // "recompute scoped to non-spanning components" guarantee; anything that

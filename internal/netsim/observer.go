@@ -16,7 +16,7 @@ import (
 // mutate the simulator and must be deterministic (no wall clock, no global
 // randomness), or same-seed runs lose byte-identical artifacts. With no
 // observer attached every emission point costs one nil check (the same
-// contract as the Trace/Reg telemetry surfaces; enforced by the obsnil
+// contract as the Trace/Reg telemetry surfaces; enforced by the nilguard
 // hpnlint rule).
 type Observer interface {
 	// LinkEvent fires on a cable transition (up=false on FailCable,

@@ -29,9 +29,8 @@ func (s *Sim) StateHash64() uint64 {
 	}
 	if s.sharding != nil {
 		// Shard-scoped fingerprint: only this shard's links. Reading other
-		// shards' usability here would both race with their concurrent
-		// windows and invalidate this shard's cached windows on transitions
-		// that cannot affect its flows.
+		// shards' usability here would invalidate this shard's cached
+		// windows on transitions that cannot affect its flows.
 		for _, l := range s.sharding.ShardLinks[s.shard-1] {
 			b := uint64(0)
 			if s.Top.LinkUsable(l) {

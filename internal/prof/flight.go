@@ -43,7 +43,7 @@ type window struct {
 // opens, freezing the evidence the detector acted on; hpndoctor then gets
 // real event context instead of only detector summaries. All methods are
 // nil-safe so emission sites stay behind plain `if x != nil` guards (the
-// tracenil/obsnil discipline — arguments are constructed at the call site,
+// nilguard lint discipline — arguments are constructed at the call site,
 // so the guard must be there, not only in here).
 type Flight struct {
 	mu      sync.Mutex

@@ -122,9 +122,8 @@ type Engine struct {
 	phRun      *prof.Phase
 	phDispatch *prof.Phase
 	// phDispatchAlloc tracks heap objects allocated inside serial run
-	// loops (Run/RunUntil/RunWhile). Allocation deltas are process-global,
-	// so RunCapped — which sharded windows execute concurrently — feeds
-	// phRun only.
+	// loops (Run/RunUntil/RunWhile). RunCapped, the loop of a sharded
+	// window, feeds phRun only.
 	phDispatchAlloc *prof.Phase
 	// Processed counts events executed so far; useful for runaway detection.
 	Processed uint64

@@ -85,9 +85,9 @@ type Hub struct {
 
 	// parent, on a hub derived with ShardHub, is the root hub that owns
 	// cluster-prefix allocation. Everything byte-producing (Tracer,
-	// Registry, Flight) is private per shard hub so concurrent shard
-	// windows never interleave writes; the profiler is shared (its
-	// accumulators are atomic and its counts order-independent).
+	// Registry, Flight) is private per shard hub so each shard's records
+	// export as that shard's own prefixed artifacts; the profiler is
+	// shared (its counts are order-independent).
 	parent *Hub
 }
 
@@ -152,14 +152,13 @@ func (h *Hub) allocPrefix() string {
 }
 
 // ShardHub derives a hub for one shard domain of a sharded run. The shard
-// hub shares the root's Options and Profiler (atomic accumulators;
-// deterministic counts) but owns a fresh Tracer, Registry and Flight
-// recorder: all three serialize records into byte streams under the
-// assumption of a single writer, so concurrent shard windows must each
-// write their own. Cluster prefixes are still allocated by the root
-// (JoinCluster delegates), keeping metric names and artifact names unique
-// across the ensemble; fold shard counters back with Registry.Absorb once
-// the run is done and the engines are quiescent.
+// hub shares the root's Options and Profiler (deterministic counts) but
+// owns a fresh Tracer, Registry and Flight recorder, so each shard's
+// records serialize into that shard's own byte streams and export as its
+// own artifacts (c2_trace.json, ...). Cluster prefixes are still allocated
+// by the root (JoinCluster delegates), keeping metric names and artifact
+// names unique across the ensemble; fold shard counters back with
+// Registry.Absorb once the run is done and the engines are quiescent.
 func (h *Hub) ShardHub() *Hub {
 	root := h
 	if h.parent != nil {

@@ -42,8 +42,7 @@ func MetricSum(hub *TelemetryHub, suffix string) float64 {
 // cap and silently dropped data: the trace-event ring (MaxTraceEvents) and
 // the in-band per-hop collectors (InbandMax). One message per overflowing
 // collector, ready to print to stderr; empty means every artifact is
-// complete. Runners (hpnsim, hpnbench) share this so the two CLIs can
-// never drift on which overflows they surface.
+// complete. RunOptions.Finish prints them for both CLIs.
 func OverflowWarnings(hub *TelemetryHub) []string {
 	if hub == nil {
 		return nil
