@@ -83,7 +83,7 @@ func main() {
 	}
 	if obs.Inband != "" {
 		// The per-hop stream is exported alongside the completed-flow log.
-		c.Net.EnableFlowLog(0)
+		c.Net.EnableFlowLog()
 	}
 
 	placed, err := c.PlaceJob(*hosts)
@@ -143,9 +143,9 @@ func runSharded(obs *hpn.RunOptions, hub *hpn.TelemetryHub, m hpn.ModelSpec, par
 		obs.Exit(err)
 	}
 	if obs.Inband != "" {
-		sc.Global.Net.EnableFlowLog(0)
+		sc.Global.Net.EnableFlowLog()
 		for _, pc := range sc.Pods {
-			pc.Net.EnableFlowLog(0)
+			pc.Net.EnableFlowLog()
 		}
 	}
 	st, err := hpn.NewShardedTrainer(sc, m, par)

@@ -51,9 +51,9 @@ func shardedArtifacts(t *testing.T, iters int, memoOn, flap bool) (map[string][]
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Global.Net.EnableFlowLog(0)
+	sc.Global.Net.EnableFlowLog()
 	for _, pc := range sc.Pods {
-		pc.Net.EnableFlowLog(0)
+		pc.Net.EnableFlowLog()
 	}
 	st, err := NewShardedTrainer(sc, LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 4})
 	if err != nil {

@@ -49,7 +49,7 @@ func goldenArtifacts(t *testing.T, tune ...func(c *Cluster)) map[string][]byte {
 		fn(c)
 	}
 	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 
 	hosts, err := c.PlaceJob(8)
 	if err != nil {
@@ -186,7 +186,7 @@ func memoArtifacts(t *testing.T, memoOn bool, iters int, tune ...func(c *Cluster
 		t.Fatal(err)
 	}
 	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 	for _, fn := range tune {
 		fn(c)
 	}
@@ -308,7 +308,7 @@ func TestGoldenDeterminismDistinctFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.EnableTelemetry(hub)
-		c.Net.EnableFlowLog(0)
+		c.Net.EnableFlowLog()
 		hosts, err := c.PlaceJob(8)
 		if err != nil {
 			t.Fatal(err)

@@ -52,9 +52,6 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 	if h.Opt.Health {
 		health.Attach(c.Net, health.DefaultConfig())
 	}
-	// The recorder must attach after every other observer so it wraps the
-	// chain outermost: it has to see invalidating fabric events first and
-	// capture exactly the callbacks replay must re-feed.
 	if h.Opt.Memo {
 		memo.Attach(c.Net)
 	}

@@ -11,15 +11,14 @@
 // Everything here runs inside the deterministic event loop: detector state
 // iterates in first-seen order (never Go map order), timestamps are virtual
 // time, and the incidents.tsv / incidents.json artifacts are byte-identical
-// across same-seed runs. With the monitor not attached, the simulator pays
-// one nil check per emission point (see netsim.Observer).
+// across same-seed runs. With no subscriber attached, the simulator pays
+// one empty-list check per emission point (see netsim.Observer).
 package health
 
 import (
 	"fmt"
 
 	"hpn/internal/netsim"
-	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
 	"hpn/internal/topo"
@@ -203,8 +202,8 @@ type Monitor struct {
 	ctrIncidents *telemetry.Counter
 }
 
-// Attach builds a monitor over the simulator, installs it as the fabric
-// observer, and (when the simulator carries a registry) registers the
+// Attach builds a monitor over the simulator, subscribes it to the fabric
+// events, and (when the simulator carries a registry) registers the
 // "incidents.tsv"/"incidents.json" artifact exporters plus health metrics
 // under the simulator's prefix. The periodic sweep is demand-armed: the
 // first fabric event (transition, reroute, stalled or degraded flow)
@@ -219,7 +218,7 @@ func Attach(net *netsim.Sim, cfg Config) *Monitor {
 		groupIdx: map[groupKey]int{},
 		classIdx: map[int]int{},
 	}
-	net.SetObserver(m)
+	net.Subscribe(m)
 	if net.Reg != nil {
 		p := net.MetricsPrefix
 		m.ctrIncidents = net.Reg.Counter(p+"health_incidents_total", "fabric incidents opened by the health monitor")
@@ -271,20 +270,12 @@ func (m *Monitor) needsTick() bool {
 	return false
 }
 
-// MonitorOf returns the monitor attached to the simulator, or nil if the
-// fabric observer is absent or something else. Wrapping observers (the
-// memo recorder) are unwrapped through their Inner chain.
+// MonitorOf returns the monitor subscribed to the simulator, or nil.
 func MonitorOf(net *netsim.Sim) *Monitor {
-	o := net.Observer()
-	for o != nil {
+	for _, o := range net.Observers() {
 		if m, ok := o.(*Monitor); ok {
 			return m
 		}
-		u, ok := o.(interface{ Inner() netsim.Observer })
-		if !ok {
-			return nil
-		}
-		o = u.Inner()
 	}
 	return nil
 }
@@ -357,50 +348,41 @@ func (m *Monitor) linkSubject(l topo.LinkID) string {
 	return m.Net.Top.Node(lk.From).Name + "<->" + m.Net.Top.Node(lk.To).Name
 }
 
-// netsim.Observer implementation. Each callback runs inside event dispatch
-// and must stay cheap and deterministic.
-
-// LinkEvent feeds the flap detector.
-func (m *Monitor) LinkEvent(now sim.Time, l topo.LinkID, up bool) {
-	m.noteTransition(now, m.linkSubject(l), up)
-	m.armTick()
-}
-
-// NodeEvent feeds node transitions into the same flap detector, keyed by
-// switch name.
-func (m *Monitor) NodeEvent(now sim.Time, n topo.NodeID, up bool) {
-	m.noteTransition(now, m.Net.Top.Node(n).Name, up)
-	m.armTick()
-}
-
-// RerouteDone counts passes for attribution; stall recovery itself is
-// observed by the sweep (armed here, since a reroute either resolves a
-// stall or leaves one to keep watching).
-func (m *Monitor) RerouteDone(now sim.Time, repathed, stillStalled int) {
-	m.reroutes++
-	m.armTick()
-}
-
-// FlowRouted feeds the polarization detector with the path's hash
-// decisions. A flow routed into a blackhole arms the sweep so the stall
-// detector starts its clock even when no transition was observed.
-func (m *Monitor) FlowRouted(now sim.Time, f *netsim.Flow, hops []route.HopDecision) {
-	m.notePath(now, f, hops)
-	if f.Stalled {
+// Observe implements netsim.Observer. It runs inside event dispatch and
+// must stay cheap and deterministic. Cable and switch transitions feed
+// the flap detector (switches keyed by name); reroute passes are counted
+// for attribution, and stall recovery itself is observed by the sweep
+// (armed here, since a pass either resolves a stall or leaves one to keep
+// watching); routed paths feed the polarization detector, and a flow
+// routed into a blackhole arms the sweep so the stall detector starts its
+// clock even when no transition was observed; completions feed the
+// degraded-throughput detector.
+func (m *Monitor) Observe(e netsim.Event) {
+	switch e.Kind {
+	case netsim.LinkDown, netsim.LinkUp:
+		m.noteTransition(e.At, m.linkSubject(e.Link), e.Kind == netsim.LinkUp)
 		m.armTick()
+	case netsim.NodeDown, netsim.NodeUp:
+		m.noteTransition(e.At, m.Net.Top.Node(e.Node).Name, e.Kind == netsim.NodeUp)
+		m.armTick()
+	case netsim.Reroute, netsim.RerouteRetry:
+		m.reroutes++
+		m.armTick()
+	case netsim.FlowRouted:
+		m.notePath(e.At, e.Flow, e.Hops)
+		if e.Flow.Stalled {
+			m.armTick()
+		}
+	case netsim.FlowDone:
+		m.noteCompletion(e.At, e.Flow)
 	}
-}
-
-// FlowDone feeds the degraded-throughput detector.
-func (m *Monitor) FlowDone(now sim.Time, f *netsim.Flow) {
-	m.noteCompletion(now, f)
 }
 
 var _ netsim.Observer = (*Monitor)(nil)
 
 // LiveMetricNames names the registry counters this observer increments
-// from inside its callbacks. The memo recorder excludes them from a
-// recorded window's metrics delta: replay re-feeds the callbacks, so the
+// from inside Observe. The memo recorder excludes them from a recorded
+// window's metrics delta: replay re-feeds the flow events, so the
 // increments happen live and would otherwise be double-counted.
 func (m *Monitor) LiveMetricNames() []string {
 	if m.Net.Reg == nil {

@@ -26,7 +26,7 @@
 //   - floateq:    no ==/!= between floating-point operands; the fluid
 //     solver compares with epsilons.
 //   - nilguard:   emission sites on the opt-in observers — telemetry
-//     Tracer (Complete/Instant/Counter), netsim.Observer callbacks and
+//     Tracer (Complete/Instant/Counter), netsim.Observer.Observe and
 //     prof.Flight (Note/Mark) — must sit behind a nil guard, including
 //     call sites that pass a possibly-nil receiver to a helper that emits
 //     on it unguarded.

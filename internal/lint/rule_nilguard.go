@@ -27,7 +27,7 @@ const nilguardName = "nilguard"
 
 func (nilguardRule) Name() string { return nilguardName }
 func (nilguardRule) Doc() string {
-	return "Tracer (Complete/Instant/Counter), netsim.Observer and prof.Flight (Note/Mark) emission calls must sit behind a nil guard, including through helpers emitting on a parameter"
+	return "Tracer (Complete/Instant/Counter), netsim.Observer.Observe and prof.Flight (Note/Mark) emission calls must sit behind a nil guard, including through helpers emitting on a parameter"
 }
 
 // nilGuard is one guarded receiver type.
@@ -175,10 +175,10 @@ func isFlightEmitMethod(fn *types.Func) bool {
 	return funcPkgPath(fn) == profPath && flightEmitMethods[fn.Name()] && recvNamed(fn) == "Flight"
 }
 
-// isObserverMethod reports whether fn is a method declared on the
+// isObserverMethod reports whether fn is Observe declared on the
 // netsim.Observer interface itself — the dynamic-dispatch call sites the
 // contract covers. Concrete implementations (health.Monitor and fixture
-// doubles) call their own methods with a known-non-nil receiver and are
+// doubles) call their own method with a known-non-nil receiver and are
 // exempt.
 func isObserverMethod(fn *types.Func) bool {
 	if funcPkgPath(fn) != netsimPath || recvNamed(fn) != "Observer" {

@@ -9,11 +9,11 @@
 // flow allocations, completions and telemetry, just shifted in time. The
 // recorder exploits that: it fingerprints the simulator state at each
 // iteration boundary, records the full effect of one window of simulation
-// (trace events, flow-log and in-band records, observer callbacks, metric
-// movement, engine clock/sequence consumption), and on a fingerprint hit
-// replays that recorded window — re-stamped to the current time, flow-ID
-// and sequence cursors — instead of simulating it, then fast-forwards the
-// engine clock past it. A replayed run's artifacts are byte-identical to a
+// (trace events, flow-log and in-band records, flow events delivered to
+// the other subscribers, metric movement, engine clock/sequence
+// consumption), and on a fingerprint hit replays that recorded window —
+// re-stamped to the current time, flow-ID and sequence cursors — instead
+// of simulating it, then fast-forwards the engine clock past it. A replayed run's artifacts are byte-identical to a
 // re-simulated run's.
 //
 // Safety comes from three layers:
@@ -27,7 +27,7 @@
 //     that replay could not reproduce: an engine event armed or fired
 //     mid-window, the sport cursor moving, flows still active at either
 //     boundary.
-//   - The recorder sits on the fabric observer chain; any link or node
+//   - The recorder subscribes to the fabric events; any link or node
 //     transition or reroute — anything that changes fabric behavior —
 //     drops the whole cache and aborts any recording in progress. The
 //     next iteration re-simulates and re-warms.
@@ -46,7 +46,6 @@ import (
 	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
-	"hpn/internal/topo"
 )
 
 // maxWindows caps the fingerprint cache. Steady-state training needs one
@@ -78,11 +77,11 @@ func (h *Hasher) MixString(s string) {
 // Sum returns the current hash value.
 func (h *Hasher) Sum() uint64 { return h.h }
 
-// LiveMetricsOwner is implemented by observers (health.Monitor) that
-// increment registry counters from inside their fabric callbacks. Replay
-// re-feeds those callbacks, so the increments happen live; the recorder
-// excludes the named counters from the recorded metrics delta to avoid
-// double-counting them.
+// LiveMetricsOwner is implemented by subscribers (health.Monitor) that
+// increment registry counters from inside Observe. Replay re-feeds the
+// flow events, so the increments happen live; the recorder excludes the
+// named counters from the recorded metrics delta to avoid double-counting
+// them.
 type LiveMetricsOwner interface {
 	LiveMetricNames() []string
 }
@@ -98,9 +97,9 @@ type traceEvent struct {
 	args      []telemetry.Arg
 }
 
-// flowSnap is the part of a completed flow's state the observer chain
-// reads, captured by value so replay can re-feed callbacks without the
-// original *netsim.Flow. Path is not captured (no observer reads it after
+// flowSnap is the part of a flow's state the subscribers read, captured
+// by value so replay can re-feed events without the original
+// *netsim.Flow. Path is not captured (no subscriber reads it after
 // routing; the hop decisions are recorded separately).
 type flowSnap struct {
 	id       int64
@@ -113,9 +112,9 @@ type flowSnap struct {
 	done     sim.Time
 }
 
-// obsEvent is one captured observer callback (FlowRouted or FlowDone).
+// obsEvent is one captured FlowRouted or FlowDone event.
 type obsEvent struct {
-	done bool
+	kind netsim.EventKind
 	at   sim.Time
 	flow flowSnap
 	hops []route.HopDecision
@@ -124,7 +123,6 @@ type obsEvent struct {
 // Window is one recorded iteration: everything needed to reproduce its
 // effects at a later, shifted position in the run.
 type Window struct {
-	fp      uint64
 	baseT   sim.Time
 	baseID  int64
 	baseSeq uint64
@@ -189,24 +187,18 @@ type recording struct {
 	obs1, obs2   []obsEvent
 }
 
-// Recorder is the memoization engine: a wrapping fabric observer plus a
-// trace-capture hook, attached outermost on a netsim.Sim. The workload
-// drives it through BeginRecord/BeginLive/EndLive/FinalizeRecord around
-// each iteration and Lookup/Replay at iteration boundaries.
+// Recorder is the memoization engine: a fabric-event subscriber plus a
+// trace-capture hook on a netsim.Sim. The workload drives it through
+// BeginRecord/BeginLive/EndLive/FinalizeRecord around each iteration and
+// Lookup/Replay at iteration boundaries.
 type Recorder struct {
-	net   *netsim.Sim
-	eng   *sim.Engine
-	inner netsim.Observer
+	net *netsim.Sim
+	eng *sim.Engine
 
 	cache map[uint64]*Window
 
 	rec       *recording
 	suspended bool
-
-	// DebugTrace emits one memo-track instant per replayed window. Off by
-	// default: the instants are diagnostic and would (deliberately) break
-	// the byte-identity of memo-on vs memo-off trace artifacts.
-	DebugTrace bool
 
 	hits, misses, blocked, invalidations, replayed int64
 
@@ -228,19 +220,17 @@ type Stats struct {
 	Cached        int
 }
 
-// Attach wraps the simulator's current observer with a recorder, installs
+// Attach subscribes a recorder to the simulator's fabric events, installs
 // the trace-capture hook, and registers memo counters when the simulator
-// carries a registry. Call after every other observer (health monitoring)
-// is attached: the recorder must sit outermost to see invalidating events
-// first and to capture exactly what replay must re-feed.
+// carries a registry. Other subscribers (health monitoring) may attach
+// before or after it: replay re-feeds every one of them.
 func Attach(s *netsim.Sim) *Recorder {
 	r := &Recorder{
 		net:   s,
 		eng:   s.Eng,
-		inner: s.Observer(),
 		cache: map[uint64]*Window{},
 	}
-	s.SetObserver(r)
+	s.Subscribe(r)
 	if s.Trace != nil {
 		s.Trace.SetHook(r.capture)
 	}
@@ -269,16 +259,15 @@ func Attach(s *netsim.Sim) *Recorder {
 	return r
 }
 
-// RecorderOf returns the recorder installed on the simulator, or nil. The
-// recorder is always the outermost observer, so no unwrapping is needed.
+// RecorderOf returns the recorder subscribed to the simulator, or nil.
 func RecorderOf(s *netsim.Sim) *Recorder {
-	r, _ := s.Observer().(*Recorder)
-	return r
+	for _, o := range s.Observers() {
+		if r, ok := o.(*Recorder); ok {
+			return r
+		}
+	}
+	return nil
 }
-
-// Inner returns the wrapped observer, letting helpers like
-// health.MonitorOf unwrap through the recorder.
-func (r *Recorder) Inner() netsim.Observer { return r.inner }
 
 // Stats returns the recorder's activity counters.
 func (r *Recorder) Stats() Stats {
@@ -292,49 +281,20 @@ func (r *Recorder) Stats() Stats {
 	}
 }
 
-// --- Observer chain: invalidation + callback capture -------------------
+// --- Fabric events: invalidation + flow-event capture -----------------
 
-// LinkEvent invalidates the cache (fabric behavior changed) and forwards.
-func (r *Recorder) LinkEvent(now sim.Time, l topo.LinkID, up bool) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.LinkEvent(now, l, up)
-	}
-}
-
-// NodeEvent invalidates the cache and forwards.
-func (r *Recorder) NodeEvent(now sim.Time, n topo.NodeID, up bool) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.NodeEvent(now, n, up)
-	}
-}
-
-// RerouteDone invalidates the cache (paths moved) and forwards.
-func (r *Recorder) RerouteDone(now sim.Time, repathed, stillStalled int) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.RerouteDone(now, repathed, stillStalled)
-	}
-}
-
-// FlowRouted captures the callback while recording, then forwards.
-func (r *Recorder) FlowRouted(now sim.Time, f *netsim.Flow, hops []route.HopDecision) {
-	if r.rec != nil && !r.suspended {
-		r.recObs(obsEvent{at: now, flow: snapFlow(f), hops: append([]route.HopDecision(nil), hops...)})
-	}
-	if r.inner != nil {
-		r.inner.FlowRouted(now, f, hops)
-	}
-}
-
-// FlowDone captures the callback while recording, then forwards.
-func (r *Recorder) FlowDone(now sim.Time, f *netsim.Flow) {
-	if r.rec != nil && !r.suspended {
-		r.recObs(obsEvent{done: true, at: now, flow: snapFlow(f)})
-	}
-	if r.inner != nil {
-		r.inner.FlowDone(now, f)
+// Observe implements netsim.Observer. Any transition (link or node
+// up/down, reroute pass) invalidates the cache: fabric behavior changed.
+// FlowRouted and FlowDone are captured while recording, for replay to
+// re-feed to the other subscribers.
+func (r *Recorder) Observe(e netsim.Event) {
+	switch e.Kind {
+	case netsim.FlowRouted, netsim.FlowDone:
+		if r.rec != nil && !r.suspended {
+			r.recObs(obsEvent{kind: e.Kind, at: e.At, flow: snapFlow(e.Flow), hops: append([]route.HopDecision(nil), e.Hops...)})
+		}
+	default:
+		r.invalidate()
 	}
 }
 
@@ -477,7 +437,6 @@ func (r *Recorder) FinalizeRecord() {
 	metrics := telemetry.MergeDeltas(rec.d1, snapC.DeltaSince(rec.snapB2))
 	metrics.Exclude(r.liveMetricNames())
 	w := &Window{
-		fp:            rec.fp,
 		baseT:         rec.baseT,
 		baseID:        rec.baseID,
 		baseSeq:       rec.baseSeq,
@@ -506,20 +465,14 @@ func (r *Recorder) FinalizeRecord() {
 	r.cache[rec.fp] = w
 }
 
-// liveMetricNames collects the observer-owned counter names down the
-// wrapped chain (see LiveMetricsOwner).
+// liveMetricNames collects the subscriber-owned counter names (see
+// LiveMetricsOwner).
 func (r *Recorder) liveMetricNames() []string {
 	var names []string
-	o := r.inner
-	for o != nil {
+	for _, o := range r.net.Observers() {
 		if lm, ok := o.(LiveMetricsOwner); ok {
 			names = append(names, lm.LiveMetricNames()...)
 		}
-		u, ok := o.(interface{ Inner() netsim.Observer })
-		if !ok {
-			break
-		}
-		o = u.Inner()
 	}
 	return names
 }
@@ -572,13 +525,13 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 }
 
 // Replay applies the recorded window at the current instant: it re-feeds
-// the captured observer callbacks, re-emits the captured trace events and
-// appends the flow-log/in-band records — all shifted to the current time,
-// flow-ID and sequence cursors — runs liveFn for the live section, then
-// fast-forwards the engine past the window and restores the simulator's
-// exit-state (stats, metrics, in-band residual, integration cursor). The
-// first half of the feed precedes liveFn so observers are current when
-// the live section reads them.
+// the captured flow events to the other subscribers, re-emits the
+// captured trace events and appends the flow-log/in-band records — all
+// shifted to the current time, flow-ID and sequence cursors — runs liveFn
+// for the live section, then fast-forwards the engine past the window and
+// restores the simulator's exit-state (stats, metrics, in-band residual,
+// integration cursor). The first half of the feed precedes liveFn so
+// subscribers are current when the live section reads them.
 func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	defer r.phReplay.End(r.phReplay.Begin())
 	t0 := r.eng.Now()
@@ -587,11 +540,6 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	dseq := r.eng.Seq() - w.baseSeq
 	r.replayed++
 	r.ctrReplayed.Inc()
-	if r.DebugTrace && r.net.Trace != nil {
-		r.net.Trace.Instant(int64(t0), "memo", "replay", telemetry.TidMemo,
-			telemetry.Arg{K: "fp", V: w.fp},
-			telemetry.Arg{K: "dur_ns", V: int64(w.dur)})
-	}
 	r.feedObs(w.obs1, dt, did)
 	r.emitTrace(w.part1, dt, did, dseq)
 	r.net.AppendReplayedFlows(shiftFlows(w.flows1, dt, did))
@@ -616,24 +564,26 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	r.net.RestoreLastAdvance(t0 + w.lastAdvOffset)
 }
 
-// feedObs re-feeds captured observer callbacks with shifted timestamps
-// and flow snapshots. The recorder itself is not recording during replay,
-// so these land directly on the wrapped chain.
+// feedObs re-feeds captured flow events, with shifted timestamps and
+// flow snapshots, to every subscriber but the recorder itself (which is
+// not recording during replay). With the recorder subscribed alone there
+// is nobody to feed, and no flow is built.
 func (r *Recorder) feedObs(evs []obsEvent, dt sim.Time, did int64) {
-	if r.inner == nil {
+	subs := r.net.Observers()
+	if len(subs) == 1 {
 		return
 	}
 	for i := range evs {
-		e := &evs[i]
-		f := &netsim.Flow{
-			ID: e.flow.id + did, Src: e.flow.src, Dst: e.flow.dst, Tuple: e.flow.tuple,
-			Bits: e.flow.bits, Port: e.flow.port, Stalled: e.flow.stalled,
-			StartedAt: e.flow.started + dt, DoneAt: e.flow.done + dt,
-		}
-		if e.done {
-			r.inner.FlowDone(e.at+dt, f)
-		} else {
-			r.inner.FlowRouted(e.at+dt, f, e.hops)
+		ev := &evs[i]
+		e := netsim.Event{Kind: ev.kind, At: ev.at + dt, Hops: ev.hops, Flow: &netsim.Flow{
+			ID: ev.flow.id + did, Src: ev.flow.src, Dst: ev.flow.dst, Tuple: ev.flow.tuple,
+			Bits: ev.flow.bits, Port: ev.flow.port, Stalled: ev.flow.stalled,
+			StartedAt: ev.flow.started + dt, DoneAt: ev.flow.done + dt,
+		}}
+		for _, o := range subs {
+			if o != r {
+				o.Observe(e) //hpnlint:allow nilguard -- Subscribe rejects nil, so no subscriber is nil
+			}
 		}
 	}
 }

@@ -161,3 +161,94 @@ func TestLookupBlockedByPendingEvent(t *testing.T) {
 		t.Fatal("blocked lookup not counted")
 	}
 }
+
+// flowEvents is a subscriber that keeps every FlowRouted/FlowDone event
+// it receives, with the flow and hops copied (both are valid only during
+// the call on replay).
+type flowEvents struct{ evs []netsim.Event }
+
+func (c *flowEvents) Observe(e netsim.Event) {
+	if e.Kind != netsim.FlowRouted && e.Kind != netsim.FlowDone {
+		return
+	}
+	f := *e.Flow
+	e.Flow = &f
+	e.Hops = append([]route.HopDecision(nil), e.Hops...)
+	c.evs = append(c.evs, e)
+}
+
+// TestReplayFeedsOtherSubscribers records a window with two flows, then
+// replays it later: a second subscriber (attached after the recorder)
+// must receive exactly the recorded flow events, shifted in time and flow
+// ID, and the recorder must receive none of them.
+func TestReplayFeedsOtherSubscribers(t *testing.T) {
+	eng, _, s := newNet(t)
+	r := Attach(s)
+	c := &flowEvents{}
+	s.Subscribe(c)
+
+	const fp = 5
+	t0, id0 := eng.Now(), s.NextFlowID()
+	r.BeginRecord(fp)
+	for i := 0; i < 2; i++ {
+		if _, err := s.StartFlow(route.Endpoint{Host: 2 * i, NIC: 0}, route.Endpoint{Host: 2*i + 1, NIC: 0},
+			1<<20, netsim.FlowOpts{SrcPort: -1, Sport: uint16(50000 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	r.BeginLive(eng.Now(), 0.01)
+	r.EndLive()
+	r.FinalizeRecord()
+	if len(r.cache) != 1 {
+		t.Fatal("setup: window not recorded")
+	}
+	live := c.evs
+	if len(live) != 4 {
+		t.Fatalf("recorded window delivered %d flow events, want 2 routed + 2 done", len(live))
+	}
+	if live[0].Kind != netsim.FlowRouted || len(live[0].Hops) == 0 {
+		t.Fatalf("first recorded event = %v with %d hops, want FlowRouted with its hash decisions", live[0].Kind, len(live[0].Hops))
+	}
+
+	// Move the clock and the flow-ID cursor, so the replay's shifts are
+	// not zero.
+	eng.Schedule(sim.Second, func() {})
+	eng.Run()
+	s.AdvanceFlowIDs(10)
+	dt, did := eng.Now()-t0, s.NextFlowID()-id0
+
+	w := r.Lookup(fp)
+	if w == nil {
+		t.Fatal("recorded window does not hit")
+	}
+	c.evs = nil
+	// A recording open across the replay would capture anything the
+	// replay fed back to the recorder.
+	r.BeginRecord(fp + 1)
+	r.Replay(w, nil)
+	if got := len(r.rec.obs1) + len(r.rec.obs2); got != 0 {
+		t.Fatalf("replay fed %d flow events back to the recorder", got)
+	}
+	if len(c.evs) != len(live) {
+		t.Fatalf("replay delivered %d flow events, want %d", len(c.evs), len(live))
+	}
+	for i, got := range c.evs {
+		want := live[i]
+		if got.Kind != want.Kind || got.At != want.At+dt ||
+			got.Flow.ID != want.Flow.ID+did || got.Flow.Tuple != want.Flow.Tuple ||
+			got.Flow.StartedAt != want.Flow.StartedAt+dt || got.Flow.DoneAt != want.Flow.DoneAt+dt {
+			t.Errorf("event %d = %v at %v flow %d [%v, %v], want %v at %v flow %d [%v, %v]", i,
+				got.Kind, got.At, got.Flow.ID, got.Flow.StartedAt, got.Flow.DoneAt,
+				want.Kind, want.At+dt, want.Flow.ID+did, want.Flow.StartedAt+dt, want.Flow.DoneAt+dt)
+		}
+		if len(got.Hops) != len(want.Hops) {
+			t.Fatalf("event %d carries %d hops, recorded %d", i, len(got.Hops), len(want.Hops))
+		}
+		for j := range got.Hops {
+			if got.Hops[j] != want.Hops[j] {
+				t.Errorf("event %d hop %d = %+v, recorded %+v", i, j, got.Hops[j], want.Hops[j])
+			}
+		}
+	}
+}

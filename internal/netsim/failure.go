@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"hpn/internal/sim"
-	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
@@ -16,14 +15,7 @@ func (s *Sim) FailCable(l topo.LinkID) {
 	now := s.Eng.Now()
 	s.Top.SetCableState(l, false)
 	s.R.NoteLinkFailed(l, now)
-	s.ctrLinkEvents.Inc()
-	s.instant("link_down", telemetry.Arg{K: "link", V: int(l)})
-	if s.obs != nil {
-		s.obs.LinkEvent(now, l, false)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(now), "link_down", s.flightLinkSubject(l), int64(l), 0)
-	}
+	s.emit(Event{Kind: LinkDown, At: now, Link: l})
 	rev := s.Top.Link(l).Reverse
 	for _, f := range s.active {
 		if pathHasLink(f.Path, l) || pathHasLink(f.Path, rev) {
@@ -44,14 +36,7 @@ func (s *Sim) RecoverCable(l topo.LinkID) {
 	defer s.endMutate()
 	s.Top.SetCableState(l, true)
 	s.R.NoteLinkRecovered(l)
-	s.ctrLinkEvents.Inc()
-	s.instant("link_up", telemetry.Arg{K: "link", V: int(l)})
-	if s.obs != nil {
-		s.obs.LinkEvent(s.Eng.Now(), l, true)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "link_up", s.flightLinkSubject(l), int64(l), 0)
-	}
+	s.emit(Event{Kind: LinkUp, At: s.Eng.Now(), Link: l})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
 
@@ -62,15 +47,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 	now := s.Eng.Now()
 	s.Top.SetNodeState(n, false)
 	s.R.NoteNodeFailed(n, now)
-	s.ctrLinkEvents.Inc()
-	s.instant("node_down", telemetry.Arg{K: "node", V: int(n)},
-		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
-	if s.obs != nil {
-		s.obs.NodeEvent(now, n, false)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(now), "node_down", s.Top.Node(n).Name, int64(n), 0)
-	}
+	s.emit(Event{Kind: NodeDown, At: now, Node: n})
 	for _, f := range s.active {
 		for _, lk := range f.Path {
 			link := s.Top.Link(lk)
@@ -91,15 +68,7 @@ func (s *Sim) RecoverNode(n topo.NodeID) {
 	defer s.endMutate()
 	s.Top.SetNodeState(n, true)
 	s.R.NoteNodeRecovered(n)
-	s.ctrLinkEvents.Inc()
-	s.instant("node_up", telemetry.Arg{K: "node", V: int(n)},
-		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
-	if s.obs != nil {
-		s.obs.NodeEvent(s.Eng.Now(), n, true)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "node_up", s.Top.Node(n).Name, int64(n), 0)
-	}
+	s.emit(Event{Kind: NodeUp, At: s.Eng.Now(), Node: n})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
 
@@ -132,16 +101,7 @@ func (s *Sim) reroutePass() {
 	s.beginMutate()
 	defer s.endMutate()
 	moved, still := s.repathStalled()
-	s.ctrReroutes.Inc()
-	s.instant("reroute",
-		telemetry.Arg{K: "repathed", V: moved},
-		telemetry.Arg{K: "still_stalled", V: still > 0})
-	if s.obs != nil {
-		s.obs.RerouteDone(s.Eng.Now(), moved, still)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "reroute", "", int64(moved), int64(still))
-	}
+	s.emit(Event{Kind: Reroute, At: s.Eng.Now(), Repathed: moved, Stalled: still})
 	// If flows are still stuck and the fabric is still reconverging (e.g. a
 	// second failure landed during the pass), try once more afterwards.
 	if still > 0 {
@@ -182,17 +142,12 @@ func (s *Sim) retryReroute() {
 		s.beginMutate()
 		defer s.endMutate()
 		moved, still := s.repathStalled()
-		if s.obs != nil {
-			s.obs.RerouteDone(s.Eng.Now(), moved, still)
-		}
-		if s.Flight != nil {
-			s.Flight.Note(int64(s.Eng.Now()), "reroute_retry", "", int64(moved), int64(still))
-		}
+		s.emit(Event{Kind: RerouteRetry, At: s.Eng.Now(), Repathed: moved, Stalled: still})
 	})
 }
 
 // flightLinkSubject names a cable for flight-recorder rows. Only called
-// from guarded emission sites on (rare) topology transitions, so the
+// from emit's guarded flight note on (rare) topology transitions, so the
 // string concatenation never touches a hot path.
 func (s *Sim) flightLinkSubject(l topo.LinkID) string {
 	lk := s.Top.Link(l)

@@ -37,16 +37,11 @@ func (r FlowRecord) Gbps() float64 {
 	return r.Bytes * 8 / d / 1e9
 }
 
-// EnableFlowLog starts recording completed flows, bounded to cap entries;
-// cap = 0 means unbounded. Call before injecting traffic. If telemetry is
-// attached, the log is also exposed as the "flowlog.tsv" artifact exporter.
-func (s *Sim) EnableFlowLog(cap int) {
-	pre := 1024
-	if cap > 0 && cap < pre {
-		pre = cap
-	}
-	s.flowLog = make([]FlowRecord, 0, pre)
-	s.flowLogCap = cap
+// EnableFlowLog starts recording completed flows. Call before injecting
+// traffic. If telemetry is attached, the log is also exposed as the
+// "flowlog.tsv" artifact exporter.
+func (s *Sim) EnableFlowLog() {
+	s.flowLog = make([]FlowRecord, 0, 1024)
 	s.registerFlowLogExporter()
 }
 
@@ -56,9 +51,6 @@ func (s *Sim) FlowLog() []FlowRecord { return s.flowLog }
 // logFlow appends a completion record if logging is on.
 func (s *Sim) logFlow(f *Flow) {
 	if s.flowLog == nil {
-		return
-	}
-	if s.flowLogCap > 0 && len(s.flowLog) >= s.flowLogCap {
 		return
 	}
 	rec := FlowRecord{

@@ -165,14 +165,13 @@ type Sim struct {
 
 	rerouteScheduled bool
 
-	// obs receives streaming fabric events (nil = disabled; see
+	// observers receive the fabric events in subscription order (see
 	// observer.go). obsHops is routing scratch for FlowRouted when in-band
 	// telemetry is off.
-	obs     Observer
-	obsHops []route.HopDecision
+	observers []Observer
+	obsHops   []route.HopDecision
 
-	flowLog    []FlowRecord
-	flowLogCap int
+	flowLog []FlowRecord
 
 	// In-band path telemetry (nil = disabled; see EnableInband). The ib*
 	// arrays mirror the allocator scratch: per-link offered demand,
@@ -390,7 +389,7 @@ func (s *Sim) routeFlow(f *Flow) error {
 			ib.hops = ib.hops[:0]
 			path, blackholed, err = s.R.PathObserved(f.Src, f.Dst, port, f.Tuple, now,
 				func(d route.HopDecision) { ib.hops = append(ib.hops, d) })
-		case s.obs != nil:
+		case len(s.observers) > 0:
 			// No in-band state to piggyback on: collect the hash decisions
 			// into Sim scratch for the FlowRouted emission alone.
 			s.obsHops = s.obsHops[:0]
@@ -539,8 +538,8 @@ func (s *Sim) completionEvent() {
 				telemetry.Arg{K: "port", V: f.Port},
 				telemetry.Arg{K: "hops", V: len(f.Path)})
 		}
-		if s.obs != nil {
-			s.obs.FlowDone(now, f)
+		if len(s.observers) > 0 {
+			s.emit(Event{Kind: FlowDone, At: now, Flow: f})
 		}
 		if s.Flight != nil {
 			if d := f.DoneAt - f.StartedAt; d > slowest {

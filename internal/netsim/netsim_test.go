@@ -337,7 +337,7 @@ func TestTierBitsAccounting(t *testing.T) {
 
 func TestFlowLog(t *testing.T) {
 	eng, _, s := newSim(t, 2, 4, 4)
-	s.EnableFlowLog(0)
+	s.EnableFlowLog()
 	for i := 0; i < 4; i++ {
 		if _, err := s.StartFlow(route.Endpoint{Host: i, NIC: 0}, route.Endpoint{Host: 4 + i, NIC: 0}, 1<<20, FlowOpts{SrcPort: -1}); err != nil {
 			t.Fatal(err)
@@ -365,16 +365,123 @@ func TestFlowLog(t *testing.T) {
 	}
 }
 
-func TestFlowLogCap(t *testing.T) {
-	eng, _, s := newSim(t, 1, 4, 4)
-	s.EnableFlowLog(2)
-	for i := 0; i < 3; i++ {
-		if _, err := s.StartFlow(route.Endpoint{Host: 0, NIC: i}, route.Endpoint{Host: 1, NIC: i}, 1<<20, FlowOpts{SrcPort: -1}); err != nil {
+// eventLog is a test subscriber: it keeps every event (with its hops
+// copied, since they are valid only during the call), notes on a shared
+// tape which subscriber saw each event, and checks that a FlowRouted
+// event's hops match the path they were taken for.
+type eventLog struct {
+	t    *testing.T
+	name string
+	tape *[]string
+	evs  []Event
+}
+
+func (l *eventLog) Observe(e Event) {
+	*l.tape = append(*l.tape, l.name)
+	if e.Kind == FlowRouted {
+		if len(e.Hops) != len(e.Flow.Path) {
+			l.t.Errorf("%s: FlowRouted at %v carries %d hops for a %d-link path", l.name, e.At, len(e.Hops), len(e.Flow.Path))
+		}
+		for i := range e.Hops {
+			if i < len(e.Flow.Path) && e.Hops[i].Link != e.Flow.Path[i] {
+				l.t.Errorf("%s: hop %d is link %d, path has %d", l.name, i, e.Hops[i].Link, e.Flow.Path[i])
+			}
+		}
+		e.Hops = append([]route.HopDecision(nil), e.Hops...)
+	}
+	l.evs = append(l.evs, e)
+}
+
+// TestEventStream drives one flow through every kind of fabric event and
+// checks that two subscribers each receive all of them, in subscription
+// order, with the fields of each kind set.
+func TestEventStream(t *testing.T) {
+	for _, inb := range []bool{false, true} {
+		eng, top, s := newSim(t, 2, 4, 4)
+		if inb {
+			s.EnableInband(0)
+		}
+		var tape []string
+		a := &eventLog{t: t, name: "a", tape: &tape}
+		b := &eventLog{t: t, name: "b", tape: &tape}
+		s.Subscribe(a)
+		s.Subscribe(b)
+		if obs := s.Observers(); len(obs) != 2 || obs[0] != a || obs[1] != b {
+			t.Fatalf("Observers() = %v, want [a b]", obs)
+		}
+
+		f, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<30, FlowOpts{SrcPort: -1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if len(a.evs) != 1 || len(a.evs[0].Hops) == 0 {
+			t.Fatalf("in-band %v: the first routing delivered %d events, hops %v", inb, len(a.evs), a.evs)
+		}
+		// Both access cables down strand the flow: the reroute pass leaves
+		// it stalled, so a retry pass follows. Recovering one cable lets
+		// the next pass re-path it.
+		acc0, acc1 := top.AccessLink(0, 0, 0), top.AccessLink(0, 0, 1)
+		tor := top.ToR(0, 0, 3, 0)
+		eng.Schedule(sim.Millisecond, func() {
+			s.FailCable(acc0)
+			s.FailCable(acc1)
+			s.FailNode(tor)
+		})
+		eng.Schedule(5*sim.Second, func() {
+			s.RecoverCable(acc0)
+			s.RecoverNode(tor)
+		})
+		eng.Run()
+
+		want := []Event{
+			{Kind: FlowRouted, Flow: f},
+			{Kind: LinkDown, Link: acc0},
+			{Kind: LinkDown, Link: acc1},
+			{Kind: NodeDown, Node: tor},
+			{Kind: FlowRouted, Flow: f},
+			{Kind: Reroute, Stalled: 1},
+			{Kind: FlowRouted, Flow: f},
+			{Kind: RerouteRetry, Stalled: 1},
+			{Kind: LinkUp, Link: acc0},
+			{Kind: NodeUp, Node: tor},
+			{Kind: FlowRouted, Flow: f},
+			{Kind: Reroute, Repathed: 1},
+			{Kind: FlowDone, Flow: f},
+		}
+		for _, l := range []*eventLog{a, b} {
+			if len(l.evs) != len(want) {
+				t.Fatalf("in-band %v: %s got %d events, want %d: %v", inb, l.name, len(l.evs), len(want), l.evs)
+			}
+			var last sim.Time
+			for i, e := range l.evs {
+				w := want[i]
+				if e.Kind != w.Kind || e.Link != w.Link || e.Node != w.Node ||
+					e.Repathed != w.Repathed || e.Stalled != w.Stalled || e.Flow != w.Flow {
+					t.Errorf("in-band %v: %s event %d = %+v, want %+v", inb, l.name, i, e, w)
+				}
+				if e.At < last {
+					t.Errorf("in-band %v: %s event %d at %v, before %v", inb, l.name, i, e.At, last)
+				}
+				last = e.At
+			}
+			if done := l.evs[len(l.evs)-1]; done.At != f.DoneAt {
+				t.Errorf("in-band %v: FlowDone at %v, flow done at %v", inb, done.At, f.DoneAt)
+			}
+		}
+		for i := 0; i < len(tape); i += 2 {
+			if tape[i] != "a" || tape[i+1] != "b" {
+				t.Fatalf("in-band %v: delivery %d went to %s then %s, want a then b", inb, i/2, tape[i], tape[i+1])
+			}
+		}
 	}
-	eng.Run()
-	if len(s.FlowLog()) != 2 {
-		t.Fatalf("cap not enforced: %d records", len(s.FlowLog()))
-	}
+}
+
+func TestSubscribeNilPanics(t *testing.T) {
+	_, _, s := newSim(t, 1, 4, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Subscribe(nil) did not panic")
+		}
+	}()
+	s.Subscribe(nil)
 }

@@ -102,18 +102,13 @@ func (s *Sim) FlowLogRange(from, to int) []FlowRecord {
 	return append([]FlowRecord(nil), s.flowLog[from:to]...)
 }
 
-// AppendReplayedFlows appends pre-shifted completion records, honoring the
-// same cap as live logging. No-op while flow logging is off.
+// AppendReplayedFlows appends pre-shifted completion records. No-op while
+// flow logging is off.
 func (s *Sim) AppendReplayedFlows(recs []FlowRecord) {
 	if s.flowLog == nil {
 		return
 	}
-	for _, r := range recs {
-		if s.flowLogCap > 0 && len(s.flowLog) >= s.flowLogCap {
-			return
-		}
-		s.flowLog = append(s.flowLog, r)
-	}
+	s.flowLog = append(s.flowLog, recs...)
 }
 
 // AddReplayedStats credits a recorded window's completed-flow tallies.

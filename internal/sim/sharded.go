@@ -9,16 +9,9 @@
 // shard with its own Engine (heap + virtual clock); everything that spans
 // pods — core links, cross-pod flows, the cross-pod phase of a collective
 // — lives in one global domain whose engine only runs while every shard is
-// quiescent. Windows are then derived, not configured:
-//
-//	W = min( next global event, min shard next event + Lookahead )
-//
-// With Lookahead 0 (the fabric's true cross-shard latency) the second term
-// is disabled and each shard simply runs up to the next global event; with
-// a positive Lookahead (a future fabric that models propagation delay)
-// direct shard-to-shard posts are admitted as long as each declares a
-// delay >= Lookahead, which provably keeps every delivery inside the
-// receiver's future.
+// quiescent. Windows are then derived, not configured: each shard simply
+// runs up to the next global event, and direct shard-to-shard posts are
+// forbidden (the fabric's true cross-shard lookahead is zero).
 //
 // Cross-domain interaction goes through per-sender mailboxes drained at
 // window barriers in (sender domain ID, send sequence) order. Shards of a
@@ -50,9 +43,6 @@ type post struct {
 // conservative time windows. Construct with NewSharded; drive with Run.
 type Sharded struct {
 	engines []*Engine // index 0 = global domain, 1..K = shards
-	// lookahead is the minimum declared latency of direct shard-to-shard
-	// posts; 0 means such posts are forbidden (hub-and-spoke only).
-	lookahead Time
 
 	// outbox[d] collects domain d's outgoing posts during a window. Each
 	// slice is written only by domain d's events and drained only at
@@ -92,17 +82,6 @@ func (s *Sharded) Shards() int { return len(s.engines) - 1 }
 // Engine returns the engine of domain id (GlobalDomain or 1..Shards()).
 func (s *Sharded) Engine(id int) *Engine { return s.engines[id] }
 
-// SetLookahead declares the minimum cross-shard interaction latency,
-// admitting direct shard-to-shard posts whose delay is at least la. Zero
-// (the default, and the truth for latency-free fabrics) forbids them:
-// cross-shard interaction must be routed through the global domain.
-func (s *Sharded) SetLookahead(la Time) {
-	if la < 0 {
-		la = 0
-	}
-	s.lookahead = la
-}
-
 // SetProfiler registers the coordinator's phases. Nil-safe.
 func (s *Sharded) SetProfiler(p *prof.Profiler) {
 	s.phWindow = p.Phase("sim/window_sync", "shard windows executed (wall covers every shard's run in the window)")
@@ -112,12 +91,12 @@ func (s *Sharded) SetProfiler(p *prof.Profiler) {
 // Post sends fn to domain `to`, to run at the sender's current time plus
 // delay. It must be called from code executing on domain `from` (the
 // sender's engine), which makes the append single-writer. Direct
-// shard-to-shard posts require delay >= Lookahead; posts to or from the
-// global domain carry no such bound because the global engine never runs
-// concurrently with a shard — but their delivery still waits for the next
-// barrier, so a delivery time inside the receiver's already-executed
-// window is clamped forward to the receiver's clock (deterministically:
-// window edges and shard progress depend only on event times).
+// shard-to-shard posts panic: cross-shard interaction must be routed
+// through the global domain, which never runs concurrently with a shard.
+// Delivery waits for the next barrier, so a delivery time inside the
+// receiver's already-executed window is clamped forward to the receiver's
+// clock (deterministically: window edges and shard progress depend only on
+// event times).
 func (s *Sharded) Post(from int, delay Time, to int, fn func()) {
 	if to < 0 || to >= len(s.engines) || from < 0 || from >= len(s.engines) {
 		panic(fmt.Sprintf("sim: post from domain %d to domain %d out of range", from, to))
@@ -126,15 +105,8 @@ func (s *Sharded) Post(from int, delay Time, to int, fn func()) {
 		delay = 0
 	}
 	if from != GlobalDomain && to != GlobalDomain && from != to {
-		if s.lookahead <= 0 {
-			panic(fmt.Sprintf(
-				"sim: direct shard %d->%d post is forbidden at lookahead 0; route it through the global domain", from, to))
-		}
-		if delay < s.lookahead {
-			panic(fmt.Sprintf(
-				"sim: direct shard %d->%d post with delay %v below lookahead %v; route it through the global domain",
-				from, to, delay, s.lookahead))
-		}
+		panic(fmt.Sprintf(
+			"sim: direct shard %d->%d post is forbidden at lookahead 0; route it through the global domain", from, to))
 	}
 	s.outbox[from] = append(s.outbox[from], post{to: to, at: s.engines[from].Now() + delay, fn: fn})
 }
@@ -185,8 +157,8 @@ func nextFire(e *Engine) (Time, bool) {
 // work and no posts are in flight. Each round either (a) runs the global
 // domain exclusively up to the earliest shard event — shards are quiescent,
 // so cross-shard state has exactly one owner — or (b) runs every shard
-// with work through the window ending at the next global event (extended
-// by Lookahead bookkeeping when configured). Ties go to the global domain.
+// with work through the window ending at the next global event. Ties go
+// to the global domain.
 // Window edges depend only on event times, and mailbox merges are ordered
 // by (sender, send seq).
 func (s *Sharded) Run() {
@@ -212,11 +184,6 @@ func (s *Sharded) Run() {
 			w := gNext
 			if !gHas {
 				w = MaxTime
-			}
-			if s.lookahead > 0 {
-				if la := minShard + s.lookahead; la < w {
-					w = la
-				}
 			}
 			s.window(w)
 		}
